@@ -1,8 +1,10 @@
 // Serving cost of the kernel runtime (docs/runtime.md): how much latency
 // the dispatch layers add to a BLAS call, stage by stage.
 //
-//   cold_resolve      empty cache dir: tuner + generate + assemble + store
-//   db_warm_resolve   fresh process, same dir: database hit, build only
+//   cold_resolve      empty cache dir: tuner + generate + assemble, then
+//                     publish the artifact and store the record
+//   db_warm_resolve   fresh runtime, same dir: database hit, hash-check and
+//                     map the published artifact, no build
 //   code_cache_hit    resolve again inside one runtime: in-memory hit
 //   dispatched_call   full runtime-BLAS DGEMM call, warm caches
 //   direct_call       same problem through a pre-resolved kernel (floor)
@@ -93,7 +95,7 @@ int main() {
 
   // Stage 1+2: resolve latency, cold then database-warm. The second
   // runtime replays the database the first one wrote, so its resolve
-  // skips the tuner but still generates + assembles.
+  // skips the tuner and the build: it verifies and maps the artifact.
   rt::KernelRuntime cold(dir_config(dir));
   for (const auto& k : kinds) {
     perf::Stopwatch t;

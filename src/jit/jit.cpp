@@ -17,13 +17,9 @@ struct CompiledModule::Impl {
   void* handle = nullptr;
   std::string s_path;
   std::string so_path;
-  /// Modules assembled here own their temp files; a module loaded from a
-  /// shared artifact (load_shared_object) must leave the file alone.
-  bool owns_files = true;
 
   ~Impl() {
     if (handle != nullptr) dlclose(handle);
-    if (!owns_files) return;
     if (!s_path.empty()) std::remove(s_path.c_str());
     if (!so_path.empty()) std::remove(so_path.c_str());
   }
@@ -122,14 +118,17 @@ CompiledModule compile_c(const std::string& c_text, const std::string& flags) {
   return CompiledModule(std::move(impl));
 }
 
-CompiledModule load_shared_object(const std::string& so_path) {
+CompiledModule load_bytes(std::string_view so_bytes) {
   auto impl = std::make_unique<CompiledModule::Impl>();
-  impl->so_path = so_path;
-  impl->owns_files = false;
-  impl->handle = dlopen(so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
+  impl->so_path = make_temp_file(".so");
+  {
+    std::ofstream out(impl->so_path, std::ios::binary);
+    out.write(so_bytes.data(), static_cast<std::streamsize>(so_bytes.size()));
+    AUGEM_CHECK(out.good(), "cannot write " << impl->so_path);
+  }
+  impl->handle = dlopen(impl->so_path.c_str(), RTLD_NOW | RTLD_LOCAL);
   AUGEM_CHECK(impl->handle != nullptr,
-              "dlopen " << so_path
-                        << " failed: " << (dlerror() ? dlerror() : "?"));
+              "dlopen failed: " << (dlerror() ? dlerror() : "?"));
   return CompiledModule(std::move(impl));
 }
 

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
 namespace augem::jit {
 
@@ -39,7 +40,7 @@ class CompiledModule {
   friend CompiledModule assemble(const std::string& asm_text);
   friend CompiledModule compile_c(const std::string& c_text,
                                   const std::string& flags);
-  friend CompiledModule load_shared_object(const std::string& so_path);
+  friend CompiledModule load_bytes(std::string_view so_bytes);
   struct Impl;
   explicit CompiledModule(std::unique_ptr<Impl> impl);
   std::unique_ptr<Impl> impl_;
@@ -57,11 +58,14 @@ CompiledModule assemble(const std::string& asm_text);
 CompiledModule compile_c(const std::string& c_text,
                          const std::string& flags = "-O2");
 
-/// Loads an already-built shared object (e.g. a kernel artifact published
-/// by the tuning daemon, docs/serving.md) without taking ownership of the
-/// file: destruction dlcloses the handle but leaves the .so on disk, since
-/// other processes share it. Throws augem::Error when dlopen fails.
-CompiledModule load_shared_object(const std::string& so_path);
+/// Loads a shared object from its bytes, e.g. a kernel artifact whose
+/// content hash the caller has checked (docs/runtime.md). The bytes go to
+/// a private temp file the module owns, as an assembled module's do, so
+/// the code mapped is exactly the code checked: no other process can
+/// rewrite that file, and dlopen — which reuses an already-loaded object
+/// whose path name matches — never meets a recycled name such as
+/// /proc/self/fd/<n>. Throws augem::Error when dlopen fails.
+CompiledModule load_bytes(std::string_view so_bytes);
 
 /// True if a working assembler toolchain is available (checked once).
 bool toolchain_available();

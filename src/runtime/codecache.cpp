@@ -112,17 +112,6 @@ CodeCache::KernelPtr CodeCache::lookup(const KernelKey& key) {
   return future.get();
 }
 
-bool CodeCache::erase(const KernelKey& key) {
-  const std::string k = key.to_string();
-  Shard& shard = shard_for(k);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  auto it = shard.map.find(k);
-  if (it == shard.map.end()) return false;
-  shard.lru.erase(it->second.lru_pos);
-  shard.map.erase(it);
-  return true;
-}
-
 CacheStats CodeCache::stats() const {
   CacheStats total;
   for (const auto& shard : shards_) {

@@ -78,12 +78,6 @@ class CodeCache {
   /// Peeks without building or counting a miss. Touches LRU on hit.
   KernelPtr lookup(const KernelKey& key);
 
-  /// Drops the entry for `key` so the next resolve rebuilds it (used when a
-  /// retuned variant is promoted). Callers holding the shared_ptr keep
-  /// running the old code — erase never unmaps anything. Returns whether an
-  /// entry was present.
-  bool erase(const KernelKey& key);
-
   CacheStats stats() const;
   std::size_t size() const;
   std::size_t capacity() const { return capacity_; }

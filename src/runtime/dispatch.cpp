@@ -2,7 +2,7 @@
 
 #include "augem/augem.hpp"
 #include "jit/jit.hpp"
-#include "service/client.hpp"
+#include "runtime/artifact.hpp"
 #include "support/error.hpp"
 
 namespace augem::runtime {
@@ -46,6 +46,47 @@ bool use_small_gemm_kernel(std::int64_t m, std::int64_t n, std::int64_t k) {
   return m >= 1 && m <= 32 && n >= 1 && n <= 32 && k >= 1 && k <= 32;
 }
 
+namespace {
+
+/// Wraps a loaded module as the cache entry for `key`.
+std::shared_ptr<CachedKernel> make_kernel(
+    const KernelKey& key, const TunedVariant& variant, std::string symbol,
+    std::shared_ptr<jit::CompiledModule> module) {
+  auto kernel = std::make_shared<CachedKernel>();
+  kernel->key = key;
+  kernel->variant = variant;
+  if (key.kind == KernelKind::kGemm) {
+    kernel->mr = variant.params.mr;
+    kernel->nr = variant.params.nr;
+  }
+  kernel->entry = module->raw_symbol(symbol);
+  kernel->symbol = std::move(symbol);
+  kernel->module = std::move(module);
+  return kernel;
+}
+
+}  // namespace
+
+std::shared_ptr<CachedKernel> build_variant(const KernelKey& key,
+                                            const TunedVariant& variant) {
+  // Regeneration goes through the same pipeline as direct use of the
+  // public API: generate_kernel attaches the calling contract and demands
+  // a clean mirlint analysis (memory-safety proofs included) before any
+  // text is assembled.
+  GenerateOptions options = key.small
+                                ? default_small_gemm_options(*key.small, key.isa)
+                                : default_options(key.kind, key.isa);
+  options.params = variant.params;
+  options.config.isa = key.isa;
+  options.config.strategy = variant.strategy;
+  const asmgen::GeneratedKernel gen =
+      key.small ? generate_small_gemm_kernel(*key.small, options)
+                : generate_kernel(key.kind, options);
+  return make_kernel(
+      key, variant, gen.name,
+      std::make_shared<jit::CompiledModule>(jit::assemble(gen.asm_text)));
+}
+
 KernelRuntime::KernelRuntime(RuntimeConfig config)
     : config_(std::move(config)),
       isa_(select_dispatch_isa(host_arch())),
@@ -67,29 +108,17 @@ RuntimeCounters KernelRuntime::counters() const {
   c.db_misses = db_misses_.load(std::memory_order_relaxed);
   c.tuner_runs = tuner_runs_.load(std::memory_order_relaxed);
   c.builds = builds_.load(std::memory_order_relaxed);
-  c.daemon_hits = daemon_hits_.load(std::memory_order_relaxed);
-  c.daemon_misses = daemon_misses_.load(std::memory_order_relaxed);
   c.artifact_loads = artifact_loads_.load(std::memory_order_relaxed);
   return c;
 }
 
-bool KernelRuntime::invalidate(const KernelKey& key) {
-  return cache_.erase(key);
-}
-
-service::ServiceClient* KernelRuntime::daemon_client() {
-  if (!config_.use_daemon) return nullptr;
-  std::call_once(client_once_, [this] {
-    service::ClientOptions o;
-    o.cache_dir = config_.cache_dir;
-    o.autospawn = service::want_daemon_env();
-    client_ = service::ServiceClient::try_connect(std::move(o));
-  });
-  return client_ != nullptr && client_->healthy() ? client_.get() : nullptr;
-}
-
-TunedVariant KernelRuntime::tune_variant_locally(const KernelKey& key) {
+TunedVariant KernelRuntime::choose_variant(const KernelKey& key) {
   TunedVariant v;
+  if (db_ != nullptr && db_->lookup(key, v)) {
+    db_hits_.fetch_add(1, std::memory_order_relaxed);
+    return v;
+  }
+  db_misses_.fetch_add(1, std::memory_order_relaxed);
   if (key.small) {
     // Small-GEMM variants skip the empirical tuner: with every extent a
     // compile-time constant the register tile follows from the shape, and
@@ -98,7 +127,6 @@ TunedVariant KernelRuntime::tune_variant_locally(const KernelKey& key) {
     const GenerateOptions o = default_small_gemm_options(*key.small, key.isa);
     v.params = o.params;
     v.strategy = o.config.strategy;
-    v.mflops = 0.0;
   } else if (config_.tune_on_miss) {
     tuner_runs_.fetch_add(1, std::memory_order_relaxed);
     const tuning::TuneWorkload w = config_.workload_override
@@ -115,90 +143,41 @@ TunedVariant KernelRuntime::tune_variant_locally(const KernelKey& key) {
     const GenerateOptions o = default_options(key.kind, key.isa);
     v.params = o.params;
     v.strategy = o.config.strategy;
-    v.mflops = 0.0;
   }
-  if (db_ != nullptr) db_->store(key, v);
-  // A result tuned while no daemon answered is still worth sharing: offer
-  // it, and let the daemon keep whichever entry scores better.
-  if (auto* client = daemon_client()) client->publish(key, v);
   return v;
+}
+
+std::shared_ptr<const CachedKernel> KernelRuntime::load_published(
+    const KernelKey& key) {
+  TunedVariant v;
+  if (!db_->lookup(key, v) || !v.artifact) return nullptr;
+  auto module = load_artifact(*db_, key, *v.artifact);
+  if (module == nullptr) return nullptr;
+  db_hits_.fetch_add(1, std::memory_order_relaxed);
+  artifact_loads_.fetch_add(1, std::memory_order_relaxed);
+  return make_kernel(key, v, v.artifact->symbol, std::move(module));
 }
 
 std::shared_ptr<const CachedKernel> KernelRuntime::build_kernel(
     const KernelKey& key) {
-  TunedVariant variant;
-  bool have_variant = false;
+  if (db_ == nullptr) {
+    builds_.fetch_add(1, std::memory_order_relaxed);
+    return build_variant(key, choose_variant(key));
+  }
+  // Warm path: a published artifact whose bytes match the record.
+  if (auto kernel = load_published(key)) return kernel;
 
-  // The machine's tuning daemon first: it is the single writer of the
-  // shared database, and its published artifact lets this process skip the
-  // whole tune+generate+assemble pipeline. Every daemon-side failure —
-  // none running, protocol mismatch, key not servable, death mid-request —
-  // lands in the `else` and the in-process path below takes over.
-  if (auto* client = daemon_client()) {
-    if (const auto entry = client->resolve(key)) {
-      daemon_hits_.fetch_add(1, std::memory_order_relaxed);
-      if (!entry->so_path.empty() && !entry->symbol.empty()) {
-        try {
-          auto kernel = std::make_shared<CachedKernel>();
-          kernel->key = key;
-          kernel->variant = entry->variant;
-          kernel->mr = entry->mr;
-          kernel->nr = entry->nr;
-          kernel->symbol = entry->symbol;
-          kernel->module = std::make_shared<jit::CompiledModule>(
-              jit::load_shared_object(entry->so_path));
-          kernel->entry = kernel->module->raw_symbol(entry->symbol);
-          artifact_loads_.fetch_add(1, std::memory_order_relaxed);
-          return kernel;  // no local build: one assembly per key machine-wide
-        } catch (const Error&) {
-          // Artifact unreadable (e.g. swept by a cache cleanup): build
-          // locally from the served variant.
-        }
-      }
-      variant = entry->variant;
-      have_variant = true;
-      // Deliberately NOT stored in the local database view: the daemon is
-      // the one writer of the shared file.
-    } else {
-      daemon_misses_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  if (!have_variant && db_ != nullptr && db_->lookup(key, variant)) {
-    db_hits_.fetch_add(1, std::memory_order_relaxed);
-    have_variant = true;
-  }
-  if (!have_variant) {
-    db_misses_.fetch_add(1, std::memory_order_relaxed);
-    variant = tune_variant_locally(key);
-  }
+  // Cold path, one tune and one build per key machine-wide: the holder of
+  // the key's lock builds, and every other process resolving the key waits
+  // here, re-reads the database and finds the holder's artifact. A missing,
+  // torn or foreign artifact also lands here and is rebuilt from the record.
+  const KeyLock lock(*db_, key);
+  db_->reload();
+  if (auto kernel = load_published(key)) return kernel;
+  const TunedVariant variant = choose_variant(key);
   builds_.fetch_add(1, std::memory_order_relaxed);
-
-  // Regeneration goes through the same pipeline as direct use of the
-  // public API: generate_kernel attaches the calling contract and demands
-  // a clean mirlint analysis (memory-safety proofs included) before any
-  // text is assembled.
-  GenerateOptions options = key.small
-                                ? default_small_gemm_options(*key.small, key.isa)
-                                : default_options(key.kind, key.isa);
-  options.params = variant.params;
-  options.config.isa = key.isa;
-  options.config.strategy = variant.strategy;
-  const asmgen::GeneratedKernel gen =
-      key.small ? generate_small_gemm_kernel(*key.small, options)
-                : generate_kernel(key.kind, options);
-
-  auto kernel = std::make_shared<CachedKernel>();
-  kernel->key = key;
-  kernel->variant = variant;
-  if (key.kind == KernelKind::kGemm) {
-    kernel->mr = variant.params.mr;
-    kernel->nr = variant.params.nr;
-  }
-  kernel->symbol = gen.name;
-  kernel->module =
-      std::make_shared<jit::CompiledModule>(jit::assemble(gen.asm_text));
-  kernel->entry = kernel->module->raw_symbol(gen.name);
+  auto kernel = build_variant(key, variant);
+  kernel->variant = publish_and_store(*db_, key, variant, *kernel);
   return kernel;
 }
 

@@ -7,16 +7,16 @@
 // Resolution order for a key (CPU signature, kind, ISA, dtype, shape):
 //
 //   1. in-memory code cache — hit: return the resident module;
-//   2. the machine's tuning daemon, when one is engaged (docs/serving.md)
-//      — the daemon tunes/builds at most once per key machine-wide and
-//      publishes a .so artifact this process dlopens directly, skipping
-//      even the assemble step; any daemon failure falls through silently;
-//   3. persistent tuning database — hit: regenerate the stored winning
-//      configuration (through the full mirlint-verified generation
-//      pipeline), assemble, cache, return;
-//   4. cold miss — run the empirical tuner for the shape class, store the
-//      winner in the database (offering it to the daemon if one appears
-//      later), then proceed as in 3.
+//   2. persistent tuning database — a record with an artifact whose bytes
+//      hash to the record: map that .so, no build (runtime/artifact.hpp);
+//   3. otherwise, under the key's lock file in the cache directory, with
+//      the database re-read: 2 if another process published meanwhile;
+//      else regenerate the stored variant, or on a miss run the empirical
+//      tuner first, through the full mirlint-verified generation pipeline,
+//      assemble, publish the artifact and store the record.
+//
+// A memory-only runtime (use_persistent == false) skips 2 and 3's
+// directory steps: it tunes or picks defaults, builds and caches.
 //
 // The ISA is chosen once per process from CPUID feature bits
 // (FMA3 > AVX > SSE2); the shape class is chosen per call by the
@@ -25,17 +25,12 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <optional>
 
 #include "runtime/codecache.hpp"
 #include "runtime/key.hpp"
 #include "runtime/tunedb.hpp"
 #include "tuning/tuner.hpp"
-
-namespace augem::service {
-class ServiceClient;  // the tuning daemon's client (service/client.hpp)
-}  // namespace augem::service
 
 namespace augem::runtime {
 
@@ -56,10 +51,9 @@ struct RuntimeConfig {
   /// Overrides the per-shape-class tuning workload (tests use a tiny one;
   /// unset picks tune_workload_for(kind, shape)).
   std::optional<tuning::TuneWorkload> workload_override;
-  /// Consult the machine's tuning daemon on a code-cache miss (see the
-  /// engagement policy in service/client.hpp — without a live daemon
-  /// socket or AUGEM_DAEMON=1 this is a no-op). The daemon's own runtime
-  /// sets this false so it never recurses into itself.
+  /// Unused: nothing reads it since the tuning daemon was replaced by
+  /// per-key locks in the cache directory. Kept only because the
+  /// repository benchmark (perfbench/main.cpp) still assigns it.
   bool use_daemon = true;
 };
 
@@ -69,9 +63,7 @@ struct RuntimeCounters {
   std::uint64_t db_misses = 0;   ///< no usable database entry
   std::uint64_t tuner_runs = 0;  ///< empirical searches performed
   std::uint64_t builds = 0;      ///< generate+assemble cycles performed
-  std::uint64_t daemon_hits = 0;    ///< tuning daemon served the variant
-  std::uint64_t daemon_misses = 0;  ///< daemon engaged but could not serve
-  std::uint64_t artifact_loads = 0; ///< daemon .so dlopened, no local build
+  std::uint64_t artifact_loads = 0; ///< verified artifact mapped, no build
 };
 
 /// The timing workload the tuner uses for a (kind, shape class): small
@@ -86,6 +78,11 @@ tuning::TuneWorkload tune_workload_for(frontend::KernelKind kind,
 /// shape repeats thousands of times there, so the one-time generation cost
 /// amortizes; a single dgemm call keeps the blocked path.
 bool use_small_gemm_kernel(std::int64_t m, std::int64_t n, std::int64_t k);
+
+/// Generates `variant` for `key` through the mirlint-verified pipeline,
+/// assembles and loads it. Throws augem::Error when generation fails.
+std::shared_ptr<CachedKernel> build_variant(const KernelKey& key,
+                                            const TunedVariant& variant);
 
 class KernelRuntime {
  public:
@@ -121,32 +118,19 @@ class KernelRuntime {
   TuningDatabase* database() { return db_.get(); }
   const RuntimeConfig& config() const { return config_; }
 
-  /// Drops the resident kernel for `key` so the next resolve rebuilds it
-  /// from the (possibly newer) database entry. Running callers keep their
-  /// shared_ptr — nothing is unmapped. Returns whether an entry existed.
-  bool invalidate(const KernelKey& key);
-
-  /// The daemon client this runtime resolved (engagement policy applied on
-  /// first use), or nullptr when serving purely in-process. Exposed for
-  /// tools and tests; may die (healthy() false) at any point.
-  service::ServiceClient* daemon_client();
-
  private:
   std::shared_ptr<const CachedKernel> build_kernel(const KernelKey& key);
-  TunedVariant tune_variant_locally(const KernelKey& key);
+  std::shared_ptr<const CachedKernel> load_published(const KernelKey& key);
+  TunedVariant choose_variant(const KernelKey& key);
 
   RuntimeConfig config_;
   Isa isa_;
   std::unique_ptr<TuningDatabase> db_;  ///< null when memory-only
   CodeCache cache_;
-  std::once_flag client_once_;
-  std::unique_ptr<service::ServiceClient> client_;  ///< null: in-process only
   std::atomic<std::uint64_t> db_hits_{0};
   std::atomic<std::uint64_t> db_misses_{0};
   std::atomic<std::uint64_t> tuner_runs_{0};
   std::atomic<std::uint64_t> builds_{0};
-  std::atomic<std::uint64_t> daemon_hits_{0};
-  std::atomic<std::uint64_t> daemon_misses_{0};
   std::atomic<std::uint64_t> artifact_loads_{0};
 };
 

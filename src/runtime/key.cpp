@@ -70,6 +70,15 @@ std::string KernelKey::to_string() const {
   return os.str();
 }
 
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 Isa select_dispatch_isa(const CpuArch& arch) {
   if (arch.has_fma3) return Isa::kFma3;
   if (arch.has_avx) return Isa::kAvx;

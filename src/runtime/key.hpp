@@ -10,6 +10,7 @@
 #include <functional>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "frontend/kernels.hpp"
 #include "support/arch.hpp"
@@ -71,6 +72,11 @@ struct KernelKey {
            small == other.small;
   }
 };
+
+/// FNV-1a 64-bit over `bytes`. Names a key's files in the cache directory
+/// (over KernelKey::to_string) and checks a kernel artifact's content
+/// against the hash its database record carries (docs/runtime.md).
+std::uint64_t fnv1a64(std::string_view bytes);
 
 /// Key for the host CPU: best dispatchable ISA (FMA3 > AVX > SSE2, decided
 /// from CPUID feature bits at runtime) and the given kind/shape.

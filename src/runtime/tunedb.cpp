@@ -2,17 +2,17 @@
 
 #include <fcntl.h>
 #include <sys/file.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
-#include <sstream>
 
-#include "runtime/json.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace augem::runtime {
 
@@ -55,22 +55,7 @@ bool tune_cache_disabled() {
 
 namespace {
 
-/// mkdir -p: every component, existing directories tolerated.
-void make_dirs(const std::string& path) {
-  std::string partial;
-  std::istringstream is(path);
-  std::string component;
-  if (!path.empty() && path[0] == '/') partial = "/";
-  while (std::getline(is, component, '/')) {
-    if (component.empty()) continue;
-    partial += component;
-    partial += '/';
-    ::mkdir(partial.c_str(), 0755);  // EEXIST is fine
-  }
-}
-
-}  // namespace
-
+/// Key fields only (cpu, kind, isa, dtype, shape, optional small spec).
 Json encode_kernel_key(const KernelKey& key) {
   Json rec = Json::object();
   rec["cpu"] = Json(key.cpu);
@@ -132,6 +117,8 @@ std::optional<KernelKey> decode_kernel_key(const Json& rec) {
   return key;
 }
 
+}  // namespace
+
 Json encode_tuned_variant(const TunedVariant& v) {
   Json rec = Json::object();
   rec["mr"] = Json(v.params.mr);
@@ -175,6 +162,17 @@ Json encode_tuned_variant(const TunedVariant& v) {
     }
     s["trials"] = std::move(log);
     rec["search"] = std::move(s);
+  }
+  if (v.artifact) {
+    // Optional like the search section. The hash is a full 64-bit value,
+    // so it is stored as 16 hex digits rather than as a number.
+    char fnv[17];
+    std::snprintf(fnv, sizeof(fnv), "%016llx",
+                  static_cast<unsigned long long>(v.artifact->fnv));
+    Json a = Json::object();
+    a["fnv"] = Json(std::string(fnv));
+    a["symbol"] = Json(v.artifact->symbol);
+    rec["artifact"] = std::move(a);
   }
   return rec;
 }
@@ -243,8 +241,22 @@ void decode_search_section(const Json& rec, TunedVariant& v) {
   v.trial_log = std::move(log);
 }
 
-}  // namespace
+/// Decodes the optional artifact section. A malformed one is dropped: the
+/// entry then has no artifact, and the runtime rebuilds and republishes it.
+void decode_artifact_section(const Json& rec, TunedVariant& v) {
+  const Json* a = rec.get("artifact");
+  if (a == nullptr || !a->is_object()) return;
+  const auto fnv = a->string("fnv");
+  const auto symbol = a->string("symbol");
+  if (!fnv || !symbol || symbol->empty() || fnv->size() != 16) return;
+  for (const char c : *fnv)
+    if (std::isxdigit(static_cast<unsigned char>(c)) == 0) return;
+  v.artifact = KernelArtifact{std::strtoull(fnv->c_str(), nullptr, 16),
+                              *symbol};
+}
 
+/// Variant fields only. Rejects parameter values no generator
+/// configuration can produce.
 std::optional<TunedVariant> decode_tuned_variant(const Json& rec) {
   if (!rec.is_object()) return std::nullopt;
   const auto mr = rec.number("mr");
@@ -284,8 +296,11 @@ std::optional<TunedVariant> decode_tuned_variant(const Json& rec) {
       !plausible(v.params.ku) || !plausible(v.params.unroll))
     return std::nullopt;
   decode_search_section(rec, v);
+  decode_artifact_section(rec, v);
   return v;
 }
+
+}  // namespace
 
 Json encode_db_record(const KernelKey& key, const TunedVariant& v) {
   Json rec = encode_kernel_key(key);
@@ -381,7 +396,8 @@ bool TuningDatabase::lookup(const KernelKey& key, TunedVariant& out) const {
 
 void TuningDatabase::append_locked(const KernelKey& key,
                                    const TunedVariant& variant) {
-  make_dirs(dir_);
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);  // open() reports failure
   const std::string line = encode_db_record(key, variant).dump() + "\n";
   // O_APPEND makes each successful write land at the end of the file, but
   // libc/ofstream may split one line across several writes; an advisory
@@ -430,6 +446,8 @@ void TuningDatabase::purge() {
   entries_.clear();
   replay_ = ReplayStats{};
   std::remove(file_path().c_str());
+  std::error_code ec;
+  std::filesystem::remove_all(kernels_dir(), ec);
 }
 
 std::vector<DbEntry> TuningDatabase::entries() const {

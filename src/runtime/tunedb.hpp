@@ -31,20 +31,31 @@
 
 namespace augem::runtime {
 
+/// The kernel a persistent runtime built from an entry and published as
+/// <dir>/kernels/k<fnv1a64(key)>.so (docs/runtime.md, "Sharing one cache
+/// directory"): the FNV-1a-64 of the file's bytes and its entry symbol. A
+/// loader maps the file only when its bytes hash to `fnv`.
+struct KernelArtifact {
+  std::uint64_t fnv = 0;
+  std::string symbol;
+};
+
 /// The persisted payload of one database entry: everything needed to
 /// regenerate the winning kernel deterministically, plus the score for
 /// reporting and — when the entry came from a tuner run — the search
 /// metadata and trial log, so `augem_tunedb show` can answer "how was this
 /// found" and determinism gates can compare search traces across
-/// processes. Both are optional: pre-search records (and hand-written
-/// ones) decode with `search == nullopt` and an empty log, so the schema
-/// version stays at 1.
+/// processes; and the published artifact built from it, if any. All three
+/// are optional: older records (and hand-written ones) decode with
+/// `search` and `artifact` unset and an empty log, so the schema version
+/// stays at 1.
 struct TunedVariant {
   transform::CGenParams params;
   opt::VecStrategy strategy = opt::VecStrategy::kVdup;
   double mflops = 0.0;
   std::optional<tuning::SearchMeta> search;
   std::vector<tuning::Trial> trial_log;
+  std::optional<KernelArtifact> artifact;
 
   /// Conversion from/to the tuner's result type.
   static TunedVariant from_tune_result(const tuning::TuneResult& r);
@@ -63,21 +74,14 @@ inline constexpr int kTuneDbSchema = 1;
 
 // ---- record codecs ---------------------------------------------------------
 //
-// The database file and the tuning-service wire protocol (src/service)
-// speak the same JSON shape, so the codecs are exported instead of living
-// in the .cpp: a record is the union of its key fields and variant fields
-// plus the schema tag. Decoders return nullopt on anything missing,
-// mistyped, or implausible — the caller treats that as a corrupt record
-// (or a malformed request), never as a crash.
+// A record is the union of its key fields and variant fields plus the
+// schema tag; the codecs are exported for the CLI and the tests. The
+// decoder returns nullopt on anything missing, mistyped, or implausible —
+// the caller treats that as a corrupt record, never as a crash.
 
-/// Key fields only (cpu, kind, isa, dtype, shape, optional small spec).
-Json encode_kernel_key(const KernelKey& key);
-std::optional<KernelKey> decode_kernel_key(const Json& j);
-
-/// Variant fields only (tile params, strategy, mflops). Rejects parameter
-/// values no generator configuration can produce.
+/// Variant fields only (tile params, strategy, mflops, and the optional
+/// search and artifact sections).
 Json encode_tuned_variant(const TunedVariant& v);
-std::optional<TunedVariant> decode_tuned_variant(const Json& j);
 
 /// One full on-disk record (schema + key + variant). decode additionally
 /// enforces cross-field validity (a small-GEMM record whose register tile
@@ -86,8 +90,8 @@ Json encode_db_record(const KernelKey& key, const TunedVariant& v);
 std::optional<DbEntry> decode_db_record(const Json& rec);
 
 /// Per-category accounting of the last replay, exposed so fleet health is
-/// inspectable (`augem_tunedb list --json`, the daemon's `stats` request)
-/// instead of silently folded into one number.
+/// inspectable (`augem_tunedb list --json`) instead of silently folded
+/// into one number.
 struct ReplayStats {
   std::uint64_t total_lines = 0;       ///< non-empty lines seen
   std::uint64_t parse_errors = 0;      ///< not valid JSON (truncated/garbled)
@@ -127,7 +131,9 @@ class TuningDatabase {
   /// Re-reads the file, picking up entries other processes appended.
   void reload();
 
-  /// Deletes the on-disk file and clears memory.
+  /// Empties the directory this store manages — the database file and
+  /// kernels/ (artifacts, lock files, leftover temp files) — and clears
+  /// memory.
   void purge();
 
   /// All live entries (after last-entry-wins replay), sorted by key.
@@ -135,6 +141,8 @@ class TuningDatabase {
 
   const std::string& dir() const { return dir_; }
   std::string file_path() const;
+  /// <dir>/kernels: the published artifacts and their per-key lock files.
+  std::string kernels_dir() const { return dir_ + "/kernels"; }
 
   /// Lines skipped by the last replay because they were corrupt, from a
   /// different schema, or truncated. Exposed for tests and the CLI.

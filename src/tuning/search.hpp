@@ -46,7 +46,7 @@ InfeasibleReason classify_infeasible(const std::string& error_message);
 ///   AUGEM_TUNE_EXHAUSTIVE— "1" sweeps the whole grid (the old behavior)
 ///   AUGEM_TUNE_SYNTHETIC — "1" scores points with a deterministic model
 ///                          (feasibility stays real; used by determinism
-///                          tests and the service smoke gate)
+///                          tests and shared_cache_smoke)
 ///   AUGEM_BENCH_REPS     — fixed timing repetitions per trial
 struct SearchOptions {
   std::uint64_t seed = 2013;  ///< default: the paper's year, for the grep

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -429,38 +428,6 @@ DriverTuneResult tune_driver(const blas::BlockKernel& kernel,
     }
   }
   return best;
-}
-
-void save_result(const TuneResult& result, const std::string& path) {
-  std::ofstream out(path, std::ios::app);
-  AUGEM_CHECK(out.good(), "cannot write tuning cache " << path);
-  out << frontend::kernel_kind_name(result.kind) << " "
-      << isa_name(result.config.isa) << " " << result.params.mr << " "
-      << result.params.nr << " " << result.params.ku << " "
-      << result.params.unroll << " "
-      << opt::vec_strategy_name(result.config.strategy) << " "
-      << result.mflops << "\n";
-}
-
-bool load_result(KernelKind kind, Isa isa, const std::string& path,
-                 TuneResult& out) {
-  std::ifstream in(path);
-  if (!in.good()) return false;
-  std::string k, i, strat;
-  TuneResult r;
-  bool found = false;
-  while (in >> k >> i >> r.params.mr >> r.params.nr >> r.params.ku >>
-         r.params.unroll >> strat >> r.mflops) {
-    if (k != frontend::kernel_kind_name(kind) || i != isa_name(isa)) continue;
-    r.kind = kind;
-    r.config.isa = isa;
-    for (VecStrategy s : {VecStrategy::kVdup, VecStrategy::kShuf,
-                          VecStrategy::kScalar, VecStrategy::kAuto})
-      if (strat == opt::vec_strategy_name(s)) r.config.strategy = s;
-    out = r;
-    found = true;  // keep scanning: last entry wins
-  }
-  return found;
 }
 
 }  // namespace augem::tuning

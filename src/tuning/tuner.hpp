@@ -76,12 +76,6 @@ TuneResult tune_space(frontend::KernelKind kind, Isa isa,
                       const SearchSpace& space, const TuneWorkload& workload,
                       const SearchOptions& opts);
 
-/// Persists / restores a result keyed by (kernel kind, ISA) in a simple
-/// text cache, so repeated runs skip the search.
-void save_result(const TuneResult& result, const std::string& path);
-bool load_result(frontend::KernelKind kind, Isa isa, const std::string& path,
-                 TuneResult& out);
-
 // ---- macro-loop (driver) tuning ------------------------------------------
 
 /// One evaluated (thread count, block sizes) point of the driver sweep.

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "../common/genrun.hpp"
 
 namespace augem::testing {
@@ -76,12 +79,20 @@ TEST(CodegenVm, GemmMinimalScalar) {
   run_gemm(g, Runner::kVm, 2, 2, 3, 2, BLayout::kRowPanel);
 }
 
+// gtest names each case by printing its raw bytes, so the struct must have
+// no implicit padding: padding would carry stack garbage into the test name
+// and the name would change from build to build and run to run.
 struct GemmVmCase {
+  GemmVmCase(Isa i, VecStrategy s, int m, int n, int k, BLayout l)
+      : isa(i), strategy(s), mr(m), nr(n), ku(k), layout(l) {}
+
   Isa isa;
+  std::uint8_t zero_pad[3] = {};
   VecStrategy strategy;
   int mr, nr, ku;
   BLayout layout;
 };
+static_assert(std::has_unique_object_representations_v<GemmVmCase>);
 
 class GemmVm : public ::testing::TestWithParam<GemmVmCase> {};
 

@@ -211,7 +211,7 @@ TEST(Level3EngineIdentity, SerialAndThreadedAreBitIdentical) {
   Rng rng(91);
   const index_t m = 61, n = 33;
   std::vector<double> sa(static_cast<std::size_t>(m * m)),
-      b0(static_cast<std::size_t>(m * n)), c0(static_cast<std::size_t>(m * n)),
+      b0(static_cast<std::size_t>(m * n)), c0(static_cast<std::size_t>(m * m)),
       d0(static_cast<std::size_t>(n * n));
   rng.fill(sa);
   for (index_t i = 0; i < m; ++i) at(sa.data(), m, i, i) = 4.0 + i % 3;

@@ -1,4 +1,4 @@
-#include "runtime/json.hpp"
+#include "support/json.hpp"
 
 #include <gtest/gtest.h>
 

@@ -59,6 +59,16 @@ TEST(KeyFormat, ToStringIsCanonical) {
   EXPECT_EQ(key.to_string(), "gemm/FMA3/f64/large@testcpu_vfma3_l32.256.8192");
 }
 
+TEST(KeyFormat, Fnv1a64MatchesPublishedVectors) {
+  // Artifact file names and content hashes in a shared cache directory
+  // depend on these exact values.
+  EXPECT_EQ(fnv1a64(""), 14695981039346656037ull);
+  EXPECT_EQ(fnv1a64("a"), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(fnv1a64("foobar"), 0x85944171f73967e8ull);
+  // Bytes, not C strings: an embedded NUL is hashed like any other byte.
+  EXPECT_NE(fnv1a64(std::string_view("a\0b", 3)), fnv1a64("a"));
+}
+
 TEST(KeyFormat, CpuSignatureIsSanitizedAndStable) {
   CpuArch arch;
   arch.name = "Weird CPU (R) @ 3.5GHz!";

@@ -1,6 +1,7 @@
 #include "runtime/tunedb.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -165,6 +166,32 @@ TEST_F(TuneDbTest, MalformedSearchSectionIsDroppedNotFatal) {
   EXPECT_EQ(got->variant.params.mr, 4);
 }
 
+TEST_F(TuneDbTest, ArtifactSectionRoundTripsAndIsOptional) {
+  TunedVariant v = test_variant();
+  v.artifact = KernelArtifact{0xfedcba9876543210ull, "augem_dgemm_kernel"};
+  {
+    TuningDatabase db(dir_);
+    db.store(test_key(), v);
+  }
+  TunedVariant got;
+  ASSERT_TRUE(TuningDatabase(dir_).lookup(test_key(), got));
+  ASSERT_TRUE(got.artifact.has_value());
+  EXPECT_EQ(got.artifact->fnv, 0xfedcba9876543210ull);  // all 64 bits
+  EXPECT_EQ(got.artifact->symbol, "augem_dgemm_kernel");
+
+  // A garbled section drops the artifact, never the variant: the runtime
+  // then rebuilds and republishes.
+  Json rec = encode_db_record(test_key(), v);
+  Json bad = Json::object();
+  bad["fnv"] = Json("not-a-hash");
+  bad["symbol"] = Json("augem_dgemm_kernel");
+  rec["artifact"] = bad;
+  const std::optional<DbEntry> dropped = decode_db_record(rec);
+  ASSERT_TRUE(dropped.has_value());
+  EXPECT_FALSE(dropped->variant.artifact.has_value());
+  EXPECT_EQ(dropped->variant.params.mr, 4);
+}
+
 TEST_F(TuneDbTest, LastEntryWinsOnReplay) {
   {
     TuningDatabase db(dir_);
@@ -221,9 +248,8 @@ TEST_F(TuneDbTest, CorruptAndTruncatedLinesAreSkippedNotFatal) {
 }
 
 TEST_F(TuneDbTest, ReplayStatsBreakRecoveriesDownByCategory) {
-  // The fleet-health contract behind `augem_tunedb list --json` and the
-  // daemon's `stats` request: skipped lines are attributed to a category,
-  // not folded into one opaque number.
+  // The fleet-health contract behind `augem_tunedb list --json`: skipped
+  // lines are attributed to a category, not folded into one opaque number.
   {
     TuningDatabase db(dir_);
     db.store(test_key(), test_variant(42.0));
@@ -248,7 +274,7 @@ TEST_F(TuneDbTest, ReplayStatsBreakRecoveriesDownByCategory) {
   EXPECT_EQ(s.skipped(), 5u);
   EXPECT_EQ(db2.skipped_records(), s.skipped());
 
-  // The JSON rendering carries every field (what the CLI/daemon expose).
+  // The JSON rendering carries every field (what the CLI exposes).
   const Json j = s.to_json();
   EXPECT_EQ(j.number("total_lines").value_or(-1), 6.0);
   EXPECT_EQ(j.number("parse_errors").value_or(-1), 2.0);
@@ -311,6 +337,23 @@ TEST_F(TuneDbTest, PurgeDeletesFileAndMemory) {
   EXPECT_FALSE(in.good());
   TunedVariant got;
   EXPECT_FALSE(db.lookup(test_key(), got));
+}
+
+TEST_F(TuneDbTest, PurgeEmptiesTheKernelsDirectoryToo) {
+  // `augem_tunedb purge` empties the directory the store manages:
+  // artifacts, key lock files and a killed publisher's temp files go with
+  // the database file, leaving nothing behind.
+  TuningDatabase db(dir_);
+  db.store(test_key(), test_variant());
+  ASSERT_EQ(::mkdir(db.kernels_dir().c_str(), 0755), 0);
+  for (const char* name : {"/k0123456789abcdef.so", "/k0123456789abcdef.lock",
+                           "/k0123456789abcdef.tmpAbC123"})
+    std::ofstream(db.kernels_dir() + name) << "x";
+  db.purge();
+  EXPECT_NE(::access(db.kernels_dir().c_str(), F_OK), 0);
+  EXPECT_NE(::access(db.file_path().c_str(), F_OK), 0);
+  EXPECT_EQ(::rmdir(dir_.c_str()), 0);  // nothing else was left behind
+  ASSERT_EQ(::mkdir(dir_.c_str(), 0700), 0);  // for TearDown
 }
 
 TEST_F(TuneDbTest, ReloadPicksUpForeignAppends) {

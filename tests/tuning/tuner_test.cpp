@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <set>
 
@@ -108,31 +107,6 @@ TEST(Tuner, ReportMentionsEveryTrial) {
   EXPECT_NE(report.find("best:"), std::string::npos);
   EXPECT_NE(report.find("axpy"), std::string::npos);
   EXPECT_NE(report.find("MFLOPS"), std::string::npos);
-}
-
-TEST(Tuner, SaveLoadRoundTrip) {
-  const std::string path = "/tmp/augem_tuner_test_cache.txt";
-  std::remove(path.c_str());
-
-  TuneResult r = tune_level1(KernelKind::kAxpy, host_arch().best_native_isa(),
-                             quick_workload());
-  save_result(r, path);
-
-  TuneResult loaded;
-  ASSERT_TRUE(load_result(KernelKind::kAxpy, r.config.isa, path, loaded));
-  EXPECT_EQ(loaded.params.unroll, r.params.unroll);
-  EXPECT_EQ(loaded.config.isa, r.config.isa);
-
-  // Wrong kind / ISA miss.
-  TuneResult miss;
-  EXPECT_FALSE(load_result(KernelKind::kDot, r.config.isa, path, miss));
-  std::remove(path.c_str());
-}
-
-TEST(Tuner, LoadFromMissingFileFails) {
-  TuneResult out;
-  EXPECT_FALSE(load_result(KernelKind::kAxpy, Isa::kSse2,
-                           "/tmp/does_not_exist_augem.txt", out));
 }
 
 // ---- search policy tests (docs/tuning.md) --------------------------------

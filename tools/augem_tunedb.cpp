@@ -4,7 +4,7 @@
 //   augem_tunedb [--dir DIR] [--json] list
 //   augem_tunedb [--dir DIR] [--json] show <kind> <shape>
 //   augem_tunedb [--dir DIR] [--json] prewarm [--quick]
-//   augem_tunedb [--dir DIR] [--json] daemon-status
+//   augem_tunedb [--dir DIR] [--json] retune [<kind> <shape>] [--quick]
 //   augem_tunedb [--dir DIR] purge
 //
 // `list` prints every stored entry plus the replay-recovery breakdown
@@ -12,9 +12,11 @@
 // the entry the host's dispatcher would serve for (kind, shape); `prewarm`
 // tunes every kernel kind × shape class for the host CPU so later
 // processes start warm (--quick uses a reduced timing workload, e.g. for
-// CI); `daemon-status` queries the directory's tuning daemon
-// (docs/serving.md) for its serving counters; `purge` deletes the database
-// file. --dir overrides the directory (default: the AUGEM_CACHE_DIR /
+// CI); `retune` reruns the seeded search for one host entry, or for every
+// host entry but the batched small-GEMM ones, and promotes a winner only
+// when the noise-gated diff calls it improved (--quick: reduced workload
+// and measurement budget); `purge` empties the directory's database and
+// kernels/. --dir overrides the directory (default: the AUGEM_CACHE_DIR /
 // ~/.cache/augem resolution the runtime itself uses).
 
 #include <cstdio>
@@ -23,17 +25,17 @@
 #include <vector>
 
 #include "runtime/dispatch.hpp"
-#include "runtime/json.hpp"
 #include "runtime/key.hpp"
+#include "runtime/retune.hpp"
 #include "runtime/tunedb.hpp"
-#include "service/client.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 
 namespace {
 
 using augem::Isa;
 using augem::runtime::DbEntry;
-using augem::runtime::Json;
+using augem::Json;
 using augem::runtime::KernelKey;
 using augem::runtime::KernelRuntime;
 using augem::runtime::RuntimeConfig;
@@ -45,7 +47,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: augem_tunedb [--dir DIR] [--json] "
                "{list | show <kind> <shape> | prewarm [--quick] | "
-               "daemon-status | purge}\n"
+               "retune [<kind> <shape>] [--quick] | purge}\n"
                "  kinds:  gemm gemv axpy dot scal\n"
                "  shapes: small skinny large\n");
   return 2;
@@ -71,12 +73,11 @@ Json entry_json(const DbEntry& e) {
   rec["prefetch"] = Json(e.variant.params.prefetch.enabled);
   rec["strategy"] = Json(augem::opt::vec_strategy_name(e.variant.strategy));
   rec["mflops"] = Json(e.variant.mflops);
-  if (e.variant.search) {
-    // The codec already knows the search/trial-log shape; lift its section
-    // instead of duplicating the field list here.
-    const Json full = augem::runtime::encode_tuned_variant(e.variant);
-    if (const Json* search = full.get("search")) rec["search"] = *search;
-  }
+  // The codec already knows the search/trial-log and artifact shapes; lift
+  // its sections instead of duplicating the field lists here.
+  const Json full = augem::runtime::encode_tuned_variant(e.variant);
+  for (const char* section : {"search", "artifact"})
+    if (const Json* j = full.get(section)) rec[section] = *j;
   return rec;
 }
 
@@ -140,67 +141,6 @@ int cmd_list(TuningDatabase& db, bool json) {
   return 0;
 }
 
-int cmd_daemon_status(const std::string& dir, bool json) {
-  augem::service::ClientOptions opts;
-  opts.cache_dir = dir;
-  const auto client = augem::service::ServiceClient::try_connect(opts);
-  if (client == nullptr) {
-    const std::string resolved =
-        dir.empty() ? augem::runtime::default_cache_dir() : dir;
-    if (json) {
-      Json out = Json::object();
-      out["running"] = Json(false);
-      out["dir"] = Json(resolved);
-      std::printf("%s\n", out.dump().c_str());
-    } else {
-      std::printf("no daemon serving %s\n", resolved.c_str());
-    }
-    return 1;
-  }
-  const auto stats = client->stats();
-  if (!stats) {
-    std::fprintf(stderr, "daemon stats request failed\n");
-    return 1;
-  }
-  if (json) {
-    Json out = *stats;
-    out["running"] = Json(true);
-    std::printf("%s\n", out.dump().c_str());
-    return 0;
-  }
-  const auto num = [&](const char* section, const char* field) {
-    const Json* s = stats->get(section);
-    std::optional<double> v;
-    if (s != nullptr) v = s->number(field);
-    return static_cast<unsigned long long>(v.value_or(0.0));
-  };
-  std::printf("daemon serving %s (pid %llu, protocol v%llu)\n",
-              stats->string("dir").value_or("?").c_str(),
-              static_cast<unsigned long long>(
-                  stats->number("pid").value_or(0.0)),
-              static_cast<unsigned long long>(
-                  stats->number("v").value_or(0.0)));
-  std::printf(
-      "  connections=%llu resolves=%llu resolve_hits=%llu "
-      "builds_deduped=%llu publishes=%llu\n",
-      num("counters", "connections"), num("counters", "resolves"),
-      num("counters", "resolve_hits"), num("counters", "builds_deduped"),
-      num("counters", "publishes"));
-  std::printf(
-      "  retunes=%llu promotions=%llu rejected_promotions=%llu "
-      "protocol_errors=%llu\n",
-      num("counters", "retunes"), num("counters", "promotions"),
-      num("counters", "rejected_promotions"),
-      num("counters", "protocol_errors"));
-  std::printf("  runtime: tuner_runs=%llu builds=%llu db_hits=%llu\n",
-              num("runtime", "tuner_runs"), num("runtime", "builds"),
-              num("runtime", "db_hits"));
-  std::printf("  code cache: hits=%llu misses=%llu evictions=%llu\n",
-              num("code_cache", "hits"), num("code_cache", "misses"),
-              num("code_cache", "evictions"));
-  return 0;
-}
-
 int cmd_show(TuningDatabase& db, bool json, const std::string& kind_name,
              const std::string& shape_name) {
   const auto kind = augem::runtime::parse_kernel_kind(kind_name);
@@ -233,19 +173,22 @@ int cmd_show(TuningDatabase& db, bool json, const std::string& kind_name,
   return 0;
 }
 
+/// The reduced timing workload of --quick.
+augem::tuning::TuneWorkload quick_workload() {
+  augem::tuning::TuneWorkload w;
+  w.mc = 32;
+  w.nc = 32;
+  w.kc = 64;
+  w.vec_len = 2048;
+  w.reps = 1;
+  return w;
+}
+
 int cmd_prewarm(const std::string& dir, bool json, bool quick) {
   RuntimeConfig cfg;
   cfg.cache_dir = dir;
   cfg.use_persistent = true;
-  if (quick) {
-    augem::tuning::TuneWorkload w;
-    w.mc = 32;
-    w.nc = 32;
-    w.kc = 64;
-    w.vec_len = 2048;
-    w.reps = 1;
-    cfg.workload_override = w;
-  }
+  if (quick) cfg.workload_override = quick_workload();
   KernelRuntime rt(cfg);
 
   // GEMM distinguishes all three shape regimes; the Level-1/2 kernels are
@@ -295,6 +238,60 @@ int cmd_prewarm(const std::string& dir, bool json, bool quick) {
   return 0;
 }
 
+int cmd_retune(TuningDatabase& db, bool json, bool quick,
+               const std::vector<std::string>& args) {
+  std::vector<KernelKey> keys;
+  if (args.size() == 3) {
+    const auto kind = augem::runtime::parse_kernel_kind(args[1]);
+    const auto shape = augem::runtime::parse_shape_class(args[2]);
+    if (!kind || !shape) return usage();
+    keys.push_back(augem::runtime::host_kernel_key(*kind, *shape));
+  } else if (args.size() == 1) {
+    // Every entry this host serves, except the batched small-GEMM variants:
+    // their tile follows from the baked-in extents, so there is no search.
+    for (const DbEntry& e : db.entries())
+      if (!e.key.small &&
+          e.key == augem::runtime::host_kernel_key(e.key.kind, e.key.shape))
+        keys.push_back(e.key);
+  } else {
+    return usage();
+  }
+
+  augem::perf::RunnerOptions runner;
+  if (quick) {
+    runner.min_reps = 1;
+    runner.max_reps = 3;
+    runner.max_seconds = 0.25;
+    runner.warmup_max_reps = 1;
+    runner.check_frequency = false;
+  }
+  bool failed = false;
+  Json results = Json::array();
+  for (const KernelKey& key : keys) {
+    const auto outcome = augem::runtime::retune(
+        db, key,
+        quick ? quick_workload()
+              : augem::runtime::tune_workload_for(key.kind, key.shape),
+        runner);
+    failed |= outcome == augem::runtime::RetuneOutcome::kError;
+    const char* name = augem::runtime::retune_outcome_name(outcome);
+    if (json) {
+      Json r = Json::object();
+      r["key"] = Json(key.to_string());
+      r["outcome"] = Json(name);
+      results.push_back(r);
+    } else {
+      std::printf("%-9s %s\n", name, key.to_string().c_str());
+    }
+  }
+  if (json) {
+    Json out = Json::object();
+    out["results"] = results;
+    std::printf("%s\n", out.dump().c_str());
+  }
+  return failed ? 1 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -322,14 +319,15 @@ int main(int argc, char** argv) {
   try {
     const std::string& cmd = args[0];
     if (cmd == "prewarm") return cmd_prewarm(dir, json, quick);
-    if (cmd == "daemon-status") return cmd_daemon_status(dir, json);
     TuningDatabase db(dir);
     if (cmd == "list") return cmd_list(db, json);
     if (cmd == "show")
       return args.size() == 3 ? cmd_show(db, json, args[1], args[2]) : usage();
+    if (cmd == "retune") return cmd_retune(db, json, quick, args);
     if (cmd == "purge") {
       db.purge();
-      std::printf("purged %s\n", db.file_path().c_str());
+      std::printf("purged %s and %s\n", db.file_path().c_str(),
+                  db.kernels_dir().c_str());
       return 0;
     }
     return usage();
