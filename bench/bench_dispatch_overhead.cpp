@@ -21,6 +21,7 @@
 
 #include <cstring>
 
+#include "augem/augem_blas.hpp"
 #include "blas/driver.hpp"
 #include "runtime/runtime_blas.hpp"
 

@@ -15,6 +15,7 @@
 
 #include <cmath>
 
+#include "augem/augem.hpp"
 #include "common.hpp"
 #include "vm/machine.hpp"
 

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 
+#include "augem/augem_blas.hpp"
 #include "support/threadpool.hpp"
 
 int main(int argc, char** argv) {
@@ -24,7 +25,9 @@ int main(int argc, char** argv) {
   print_platform("Thread scaling: DGEMM, m=n=k sweep over thread counts");
   SuiteReporter reporter("scaling_threads");
 
-  auto kernels = std::make_shared<KernelSet>(host_arch().best_native_isa());
+  const KernelSet kernels(host_arch().best_native_isa());
+  const blas::BlockKernel block = padded_gemm_block_kernel(
+      kernels.gemm(), kernels.gemm_mr(), kernels.gemm_nr());
   const blas::BlockSizes sizes = blas::default_block_sizes(host_arch());
 
   std::vector<int> thread_counts;
@@ -47,12 +50,14 @@ int main(int argc, char** argv) {
   double serial_gflops = 0.0;
   std::vector<std::pair<int, double>> rows;
   for (int t : thread_counts) {
-    auto lib = make_augem_blas(kernels, sizes, t);
+    blas::GemmContext ctx = blas::threaded_gemm_context(sizes);
+    ctx.threads = t;
     const double mf = reporter.measure_mflops(
         "AUGEM", mn, mn, mn, gemm_flops(mn, mn, mn),
         [&] {
-          lib->gemm(blas::Trans::kNo, blas::Trans::kNo, mn, mn, mn, 1.0,
-                    a.data(), mn, b.data(), mn, 0.0, c.data(), mn);
+          blas::blocked_gemm(blas::Trans::kNo, blas::Trans::kNo, mn, mn, mn,
+                             1.0, a.data(), mn, b.data(), mn, 0.0, c.data(),
+                             mn, ctx, block);
         },
         t);
     const double gflops = mf / 1000.0;

@@ -22,12 +22,12 @@
 #include <utility>
 #include <vector>
 
-#include "augem/augem_blas.hpp"
 #include "blas/libraries.hpp"
 #include "perf/bench_runner.hpp"
 #include "perf/clock.hpp"
 #include "perf/report.hpp"
 #include "perf/roofline.hpp"
+#include "runtime/runtime_blas.hpp"
 #include "support/arch.hpp"
 #include "support/buffer.hpp"
 #include "support/flops.hpp"
@@ -40,11 +40,25 @@ struct NamedLib {
   std::unique_ptr<blas::Blas> lib;
 };
 
-/// The four series of Figs. 18-21 / Table 6: AUGEM vs the stand-ins for
-/// MKL/ACML ("vendorsim"), ATLAS ("atlsim") and GotoBLAS ("gotosim").
+/// The runtime behind the AUGEM series: memory-only and without the tuner,
+/// so every shape class is served by the per-ISA default (untuned) kernel
+/// configuration, generated once per process.
+inline runtime::KernelRuntime& untuned_runtime() {
+  static runtime::KernelRuntime rt([] {
+    runtime::RuntimeConfig c;
+    c.use_persistent = false;
+    c.tune_on_miss = false;
+    return c;
+  }());
+  return rt;
+}
+
+/// The four series of Figs. 18-21 / Table 6: AUGEM (the RuntimeBlas every
+/// user calls) vs the stand-ins for MKL/ACML ("vendorsim"), ATLAS
+/// ("atlsim") and GotoBLAS ("gotosim").
 inline std::vector<NamedLib> figure_libraries() {
   std::vector<NamedLib> libs;
-  libs.push_back({"AUGEM", make_augem_blas()});
+  libs.push_back({"AUGEM", runtime::make_runtime_blas(untuned_runtime())});
   libs.push_back({"vendorsim(MKL/ACML)", blas::make_vendorsim()});
   libs.push_back({"atlsim(ATLAS)", blas::make_atlsim()});
   libs.push_back({"gotosim(GotoBLAS)", blas::make_gotosim()});

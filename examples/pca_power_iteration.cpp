@@ -11,14 +11,14 @@
 #include <cstdio>
 #include <vector>
 
-#include "augem/augem_blas.hpp"
+#include "perf/clock.hpp"
+#include "runtime/runtime_blas.hpp"
 #include "support/buffer.hpp"
 #include "support/rng.hpp"
-#include "support/timer.hpp"
 
 int main() {
   using namespace augem;
-  auto lib = make_augem_blas();
+  auto lib = runtime::make_runtime_blas();
 
   // Synthetic data: `samples` observations of `dims` correlated features.
   const long samples = 4096, dims = 512;
@@ -34,7 +34,7 @@ int main() {
           weight * latent[static_cast<std::size_t>(i)] + 0.1 * rng.uniform();
   }
 
-  Timer total;
+  perf::Stopwatch total;
 
   // Covariance (lower triangle) via SYRK: C = X^T X / samples.
   // X^T is dims×samples, so SYRK over A = X^T — expressed with the packed

@@ -1,5 +1,6 @@
 // Quickstart: generate a DGEMM kernel through the full AUGEM pipeline,
-// JIT-compile it, and multiply two matrices with the AUGEM-backed BLAS.
+// then multiply two matrices with the AUGEM BLAS, which tunes, generates
+// and JIT-compiles its kernels on first use.
 //
 //   build/examples/quickstart
 
@@ -7,12 +8,12 @@
 #include <vector>
 
 #include "augem/augem.hpp"
-#include "augem/augem_blas.hpp"
 #include "blas/reference.hpp"
+#include "perf/bench_runner.hpp"
+#include "runtime/runtime_blas.hpp"
 #include "support/buffer.hpp"
 #include "support/flops.hpp"
 #include "support/rng.hpp"
-#include "support/timer.hpp"
 
 int main() {
   using namespace augem;
@@ -38,8 +39,9 @@ int main() {
   }
   std::printf("... (%zu bytes total)\n\n", kernel.asm_text.size());
 
-  // 2. Use the AUGEM BLAS (kernels JIT-compiled behind the scenes).
-  auto blas_lib = make_augem_blas();
+  // 2. Use the AUGEM BLAS (kernels tuned and JIT-compiled behind the
+  //    scenes; the tuned kernels persist in the cache directory).
+  auto blas_lib = runtime::make_runtime_blas();
   const long m = 768, n = 768, k = 256;
   Rng rng(7);
   DoubleBuffer a(static_cast<std::size_t>(m * k));
@@ -48,12 +50,12 @@ int main() {
   rng.fill(a.span());
   rng.fill(b.span());
 
-  const double seconds = time_best_of(3, [&] {
-    blas_lib->gemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.0, a.data(),
-                   m, b.data(), k, 0.0, c.data(), m);
-  });
-  std::printf("DGEMM %ldx%ldx%ld: %.1f MFLOPS\n", m, n, k,
-              mflops(gemm_flops(m, n, k), seconds));
+  const perf::Measurement meas =
+      perf::BenchRunner().run(gemm_flops(m, n, k), [&] {
+        blas_lib->gemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.0,
+                       a.data(), m, b.data(), k, 0.0, c.data(), m);
+      });
+  std::printf("DGEMM %ldx%ldx%ld: %.1f MFLOPS\n", m, n, k, meas.mflops());
 
   // 3. Verify against the reference implementation.
   std::vector<double> c_ref(static_cast<std::size_t>(m * n), 0.0);

@@ -8,10 +8,10 @@
 
 #include "augem/augem.hpp"
 #include "augem/augem_blas.hpp"
+#include "perf/bench_runner.hpp"
 #include "support/buffer.hpp"
 #include "support/flops.hpp"
 #include "support/rng.hpp"
-#include "support/timer.hpp"
 #include "tuning/tuner.hpp"
 
 int main() {
@@ -31,14 +31,10 @@ int main() {
   std::printf("%s\n", dot.report().c_str());
 
   // 2. Build kernel sets from the winner and from the defaults.
-  transform::CGenParams level1 = dot.params;
-  auto tuned = std::make_shared<KernelSet>(isa, gemm.params,
-                                           gemm.config.strategy, level1);
-  auto tuned_blas =
-      make_augem_blas(tuned, blas::default_block_sizes(host_arch()));
-  auto default_blas = make_augem_blas();
+  const KernelSet defaults(isa);
+  const KernelSet tuned(isa, gemm.params, gemm.config.strategy, dot.params);
 
-  // 3. Compare on a full GEMM.
+  // 3. Compare on a full GEMM through the threaded blocked driver.
   const long mn = 768, k = 256;
   Rng rng(5);
   DoubleBuffer a(static_cast<std::size_t>(mn * k));
@@ -46,15 +42,21 @@ int main() {
   DoubleBuffer c(static_cast<std::size_t>(mn * mn));
   rng.fill(a.span());
   rng.fill(b.span());
-  for (auto [label, lib] :
-       {std::pair<const char*, blas::Blas*>{"defaults", default_blas.get()},
-        {"tuned", tuned_blas.get()}}) {
-    const double s = time_best_of(3, [&] {
-      lib->gemm(blas::Trans::kNo, blas::Trans::kNo, mn, mn, k, 1.0, a.data(),
-                mn, b.data(), k, 0.0, c.data(), mn);
-    });
+  for (auto [label, set] : {std::pair<const char*, const KernelSet*>{
+                                "defaults", &defaults},
+                            {"tuned", &tuned}}) {
+    const blas::GemmContext ctx =
+        blas::threaded_gemm_context(blas::default_block_sizes(host_arch()));
+    const blas::BlockKernel block =
+        padded_gemm_block_kernel(set->gemm(), set->gemm_mr(), set->gemm_nr());
+    const perf::Measurement meas =
+        perf::BenchRunner().run(gemm_flops(mn, mn, k), [&] {
+          blas::blocked_gemm(blas::Trans::kNo, blas::Trans::kNo, mn, mn, k,
+                             1.0, a.data(), mn, b.data(), k, 0.0, c.data(),
+                             mn, ctx, block);
+        });
     std::printf("DGEMM %ldx%ldx%ld with %-8s : %10.1f MFLOPS\n", mn, mn, k,
-                label, mflops(gemm_flops(mn, mn, k), s));
+                label, meas.mflops());
   }
   return 0;
 }

@@ -3,7 +3,7 @@
 //
 // Runs, over a real CFG of the instruction stream:
 //   1. structural checks  — operand completeness, encodings, labels,
-//      push/pop and frame discipline (the old opt/verifier checks);
+//      push/pop and frame discipline;
 //   2. flag liveness      — every conditional jump sees a valid compare;
 //   3. definite assignment — no vector or general-purpose register is read
 //      before it is written along ANY path;
@@ -13,10 +13,10 @@
 //   6. symbolic bounds    — with a KernelContract, proves every load,
 //      store and prefetch lands inside the caller's buffers.
 //
-// opt::verify_machine_code is a thin wrapper over this (error findings
-// only); asmgen::generate_assembly calls it on every kernel, and
-// check::run_fuzz runs the full analyzer (with contract) on every fuzz
-// case so static proofs are cross-checked against dynamic behavior.
+// asmgen::generate_assembly runs it on every kernel and throws through
+// check_clean on any error finding, and check::run_fuzz runs the full
+// analyzer (with contract) on every fuzz case so static proofs are
+// cross-checked against dynamic behavior.
 
 #include "analysis/bounds.hpp"
 #include "analysis/contract.hpp"

@@ -2,17 +2,15 @@
 // The non-symbolic analysis passes over the machine-IR CFG.
 //
 //  * structural  — operand completeness, encodings/widths, label sanity,
-//    push/pop and stack-frame discipline (subsumes the old opt/verifier
-//    checks of the same names, with identical message wording).
+//    push/pop and stack-frame discipline.
 //  * flags       — EFLAGS liveness per block: every conditional jump must
 //    be dominated, within its block, by a compare with no flag-clobbering
 //    instruction in between.
 //  * definite assignment — forward dataflow (intersection at joins): no
 //    vector or general-purpose register is read on ANY path before every
 //    path to that read has written it. Entry state is the SysV argument
-//    registers. This closes the old verifier's gap: a write inside a loop
-//    body does not initialize code after the loop, because the loop may
-//    run zero iterations.
+//    registers. A write inside a loop body does not initialize code after
+//    the loop, because the loop may run zero iterations.
 //  * liveness    — backward dataflow; vector-register writes whose value
 //    cannot reach any use are dead stores (warnings: wasted issue slots).
 //  * queue reuse — register-queue false-dependence heuristic: a load-class

@@ -6,8 +6,9 @@
 //     low-level C) for inspection or VM execution.
 //   * `KernelSet` — the four DLA kernels generated for a configuration and
 //     JIT-compiled into native, callable function pointers.
-//   * `make_augem_blas` (augem_blas.hpp) — a complete BLAS built on a
-//     KernelSet, the "AUGEM" series of every figure and table.
+//   * `padded_gemm_block_kernel` and the netlib-semantics wrappers
+//     (augem_blas.hpp) — the glue runtime::RuntimeBlas, the BLAS behind the
+//     "AUGEM" series of every figure and table, serves kernels through.
 
 #include <memory>
 #include <string>

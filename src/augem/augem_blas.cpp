@@ -7,55 +7,8 @@
 
 namespace augem {
 
-namespace {
-
 using blas::at;
-using blas::BlockSizes;
-using blas::GemmContext;
 using blas::index_t;
-using blas::Trans;
-
-class AugemBlas final : public blas::Blas {
- public:
-  AugemBlas(std::shared_ptr<KernelSet> kernels, const GemmContext& ctx)
-      : kernels_(std::move(kernels)), ctx_(ctx) {}
-
-  std::string name() const override { return "AUGEM"; }
-
-  void gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k, double alpha,
-            const double* a, index_t lda, const double* b, index_t ldb,
-            double beta, double* c, index_t ldc) override {
-    blas::blocked_gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                       ctx_,
-                       padded_gemm_block_kernel(kernels_->gemm(),
-                                                kernels_->gemm_mr(),
-                                                kernels_->gemm_nr()));
-  }
-
-  void gemv(index_t m, index_t n, double alpha, const double* a, index_t lda,
-            const double* x, double beta, double* y) override {
-    gemv_with_blas_semantics(kernels_->gemv(), m, n, alpha, a, lda, x, beta,
-                             y);
-  }
-
-  void axpy(index_t n, double alpha, const double* x, double* y) override {
-    axpy_with_blas_semantics(kernels_->axpy(), n, alpha, x, y);
-  }
-
-  double dot(index_t n, const double* x, const double* y) override {
-    return dot_with_blas_semantics(kernels_->dot(), n, x, y);
-  }
-
-  void scal(index_t n, double alpha, double* x) override {
-    scal_with_blas_semantics(kernels_->scal(), n, alpha, x);
-  }
-
- private:
-  std::shared_ptr<KernelSet> kernels_;
-  GemmContext ctx_;
-};
-
-}  // namespace
 
 void gemv_with_blas_semantics(KernelSet::GemvFn* fn, index_t m, index_t n,
                               double alpha, const double* a, index_t lda,
@@ -147,29 +100,6 @@ blas::BlockKernel padded_gemm_block_kernel(GemmBlockFn fn, index_t mr,
       for (index_t i = 0; i < mc; ++i)
         at(cc, ldcc, i, j) += pad_c[j * mp + i];
   };
-}
-
-std::unique_ptr<blas::Blas> make_augem_blas(std::shared_ptr<KernelSet> kernels,
-                                            const blas::BlockSizes& sizes,
-                                            int num_threads) {
-  GemmContext ctx = blas::threaded_gemm_context(sizes);
-  ctx.threads = std::max(1, num_threads);
-  // jr chunks must keep the generated register tile's column grouping.
-  ctx.jr_granule = std::max<index_t>(8, kernels->gemm_nr());
-  return std::make_unique<AugemBlas>(std::move(kernels), ctx);
-}
-
-std::unique_ptr<blas::Blas> make_augem_blas(std::shared_ptr<KernelSet> kernels,
-                                            const blas::BlockSizes& sizes) {
-  const int threads = ThreadPool::global().num_threads();
-  return make_augem_blas(std::move(kernels), sizes, threads);
-}
-
-std::unique_ptr<blas::Blas> make_augem_blas() {
-  auto kernels =
-      std::make_shared<KernelSet>(host_arch().best_native_isa());
-  return make_augem_blas(std::move(kernels),
-                         blas::default_block_sizes(host_arch()));
 }
 
 }  // namespace augem

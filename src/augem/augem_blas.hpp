@@ -1,13 +1,14 @@
 #pragma once
-// The AUGEM-backed BLAS: blas::Blas implemented on the generated assembly
-// kernels. This is the "AUGEM" series of every figure and table in the
-// paper's evaluation.
+// Glue between the generated kernels and the BLAS layer: the padded block
+// kernel that lets the blocked driver run a tile-aligned generated GEMM at
+// any block size, and the netlib-semantics wrappers around the raw Level-1/2
+// kernels. runtime::RuntimeBlas (runtime/runtime_blas.hpp) serves every
+// routine through these; callers that pin their own KernelSet pass
+// padded_gemm_block_kernel to blas::blocked_gemm directly.
 
 #include <functional>
-#include <memory>
 
 #include "augem/augem.hpp"
-#include "blas/blas.hpp"
 #include "blas/driver.hpp"
 
 namespace augem {
@@ -35,10 +36,8 @@ blas::BlockKernel padded_gemm_block_kernel(GemmBlockFn fn, blas::index_t mr,
 //
 // The generated functions are pure accumulate/compute loops (y += A*x,
 // y += alpha*x, …); the BLAS edge rules — beta == 0 overwrites, alpha == 0
-// never reads the inputs, non-positive extents are no-ops — live here so
-// every Blas built on generated kernels (the classic KernelSet-backed one
-// and the dispatching runtime one) shares one audited implementation
-// (docs/correctness.md).
+// never reads the inputs, non-positive extents are no-ops — live here as
+// one audited implementation (docs/correctness.md).
 
 /// y = alpha*A*x + beta*y around a `y += A*x` kernel.
 void gemv_with_blas_semantics(KernelSet::GemvFn* fn, blas::index_t m,
@@ -58,22 +57,5 @@ double dot_with_blas_semantics(KernelSet::DotFn* fn, blas::index_t n,
 /// x *= alpha; alpha == 0 overwrites with zeros (clears NaN/Inf).
 void scal_with_blas_semantics(KernelSet::ScalFn* fn, blas::index_t n,
                               double alpha, double* x);
-
-/// Builds an AUGEM BLAS for the host's best natively executable ISA with
-/// default (untuned) kernel configurations. GEMM runs on the global thread
-/// pool (AUGEM_NUM_THREADS or all detected cores; 1 → the serial driver).
-std::unique_ptr<blas::Blas> make_augem_blas();
-
-/// Builds an AUGEM BLAS from an explicit kernel set (e.g. a tuned one) and
-/// block sizes, threaded like the default factory.
-std::unique_ptr<blas::Blas> make_augem_blas(std::shared_ptr<KernelSet> kernels,
-                                            const blas::BlockSizes& sizes);
-
-/// As above with an explicit GEMM thread count (clamped to the global pool
-/// size; 1 selects the bit-identical serial driver). Used by the scaling
-/// benchmarks and the driver tuner.
-std::unique_ptr<blas::Blas> make_augem_blas(std::shared_ptr<KernelSet> kernels,
-                                            const blas::BlockSizes& sizes,
-                                            int num_threads);
 
 }  // namespace augem

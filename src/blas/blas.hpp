@@ -1,8 +1,8 @@
 #pragma once
 // The BLAS library interface every implementation in this repository
-// satisfies: the AUGEM-backed library (augem/augem_blas) and the three
-// simulated comparators standing in for the paper's MKL/ACML, ATLAS and
-// GotoBLAS (DESIGN.md §2).
+// satisfies: the AUGEM library over generated kernels
+// (runtime/runtime_blas.hpp) and the three simulated comparators standing
+// in for the paper's MKL/ACML, ATLAS and GotoBLAS (DESIGN.md §2).
 //
 // Implementations provide the four primitive kernels the paper generates
 // (GEMM, GEMV, AXPY, DOT). The six higher-level routines of the paper's

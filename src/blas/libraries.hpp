@@ -11,7 +11,8 @@
 //   vendorsim — expert-tuned AVX2+FMA intrinsics kernels: the MKL/ACML
 //               stand-in
 //
-// The AUGEM-backed implementation lives in augem/augem_blas.hpp.
+// The AUGEM implementation over generated kernels is
+// runtime::make_runtime_blas (runtime/runtime_blas.hpp).
 
 #include <memory>
 

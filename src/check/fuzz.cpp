@@ -23,7 +23,6 @@
 #include "frontend/kernels.hpp"
 #include "ir/interp.hpp"
 #include "jit/jit.hpp"
-#include "opt/verifier.hpp"
 #include "runtime/dispatch.hpp"
 #include "runtime/runtime_blas.hpp"
 #include "support/arch.hpp"
@@ -1360,9 +1359,10 @@ class BatchOracle final : public blas::Blas {
 struct RunCtx {
   bool jit_ok = false;
   std::vector<NamedBlas> impls;
-  /// Batched-path runtime (memory-only, no tuner) + the serving BLAS on
-  /// top of it; null when the JIT path is off or unavailable.
-  std::unique_ptr<runtime::KernelRuntime> batch_rt;
+  /// Memory-only runtime serving the untuned default kernels (no tuner),
+  /// shared by the `augem` impl and the batched and Level-3 RuntimeBlas
+  /// paths; null when the JIT path is off or unavailable.
+  std::unique_ptr<runtime::KernelRuntime> kernel_rt;
   std::unique_ptr<blas::Blas> batch_impl;
   BatchOracle batch_oracle;
 };
@@ -1370,15 +1370,13 @@ struct RunCtx {
 RunCtx make_run_ctx(const FuzzOptions& opts) {
   RunCtx ctx;
   ctx.jit_ok = opts.run_jit && jit::toolchain_available();
-  // The Level-3 paths reuse the batch runtime as their RuntimeBlas under
-  // test, so either toggle keeps it alive.
-  if ((opts.run_batch || opts.run_level3) && ctx.jit_ok) {
+  if (ctx.jit_ok && (opts.run_blas || opts.run_batch || opts.run_level3)) {
     runtime::RuntimeConfig rc;
     rc.use_persistent = false;
     rc.tune_on_miss = false;
     rc.code_cache_capacity = 64;
-    ctx.batch_rt = std::make_unique<runtime::KernelRuntime>(rc);
-    ctx.batch_impl = runtime::make_runtime_blas(*ctx.batch_rt);
+    ctx.kernel_rt = std::make_unique<runtime::KernelRuntime>(rc);
+    ctx.batch_impl = runtime::make_runtime_blas(*ctx.kernel_rt);
   }
   if (!opts.run_blas) return ctx;
   ctx.impls.push_back({"refblas", blas::make_refblas()});
@@ -1386,14 +1384,8 @@ RunCtx make_run_ctx(const FuzzOptions& opts) {
   ctx.impls.push_back({"atlsim", blas::make_atlsim()});
   if (host_arch().has_avx2 && host_arch().has_fma3)
     ctx.impls.push_back({"vendorsim", blas::make_vendorsim()});
-  if (ctx.jit_ok) {
-    try {
-      ctx.impls.push_back({"augem", augem::make_augem_blas()});
-    } catch (const Error&) {
-      // No natively generatable kernel set on this host; the VM paths still
-      // cover the generated code.
-    }
-  }
+  if (ctx.kernel_rt != nullptr)
+    ctx.impls.push_back({"augem", runtime::make_runtime_blas(*ctx.kernel_rt)});
   return ctx;
 }
 
@@ -1537,14 +1529,18 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     }
 
     ++rep.path_runs["verifier"];
-    const std::vector<opt::VerifyIssue> issues =
-        opt::verify_machine_code(rt.g->insts, count_f64_params(rt.g->source));
-    if (!issues.empty()) {
-      std::ostringstream os;
-      for (const opt::VerifyIssue& is : issues)
-        os << "[inst " << is.index << "] " << is.message << "; ";
-      record("verifier", kin.to_string(rt.cfg.op), os.str());
-      continue;  // the machine code is suspect; skip the numeric paths
+    {
+      analysis::AnalyzeOptions vopts;
+      vopts.num_f64_params = count_f64_params(rt.g->source);
+      const analysis::AnalysisReport vr = analysis::analyze(rt.g->insts, vopts);
+      if (vr.errors() > 0) {
+        std::ostringstream os;
+        for (const analysis::Finding& f : vr.findings)
+          if (f.severity == analysis::Severity::kError)
+            os << "[inst " << f.index << "] " << f.message << "; ";
+        record("verifier", kin.to_string(rt.cfg.op), os.str());
+        continue;  // the machine code is suspect; skip the numeric paths
+      }
     }
 
     // ---- full static analysis with bounds proofs --------------------------

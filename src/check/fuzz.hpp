@@ -27,11 +27,11 @@
 //     read outside the stored triangle.
 //
 // Every generated kernel additionally passes through the static machine-code
-// verifier (`opt::verify_machine_code`). All numeric paths are cross-checked
-// element-wise against a reference oracle under the ULP policy of
-// check/ulp.hpp; on mismatch the harness shrinks the instance to a minimal
-// reproducer and records a machine-readable failure. Everything is
-// deterministic in (seed, case index). See docs/correctness.md.
+// checks (`analysis::analyze`, error findings only). All numeric paths are
+// cross-checked element-wise against a reference oracle under the ULP
+// policy of check/ulp.hpp; on mismatch the harness shrinks the instance to
+// a minimal reproducer and records a machine-readable failure. Everything
+// is deterministic in (seed, case index). See docs/correctness.md.
 
 #include <cstdint>
 #include <map>

@@ -1,10 +1,9 @@
 #pragma once
-// The one monotonic clock the benchmark harness uses. Every measurement in
-// the repository — BenchRunner samples, warmup detection, the frequency
-// sanity probe, the bench/ scaffolding — reads this clock and no other, so
-// two numbers from different benches are always comparable. (Historically
-// the benches mixed support/timer.hpp best-of/mean-of helpers with ad-hoc
-// stopwatch loops; docs/benchmarking.md records the deflaking rationale.)
+// The one monotonic clock in the repository. Every measurement —
+// BenchRunner samples, warmup detection, the frequency sanity probe, the
+// bench/ scaffolding, the tuner's samples and its wall-clock cap — reads
+// this clock and no other, so two numbers from different benches (or from
+// a bench and a tuning run) are always comparable.
 
 #include <functional>
 

@@ -199,6 +199,18 @@ class RuntimeBlas final : public blas::Blas {
                              lda, x, beta, y);
   }
 
+  void ger(index_t m, index_t n, double alpha, const double* x,
+          const double* y, double* a, index_t lda) override {
+    // One AXPY per column, as in Blas::ger, but resolved once per call: a
+    // code-cache hit costs about as much as a 1000-element AXPY.
+    if (m <= 0 || n <= 0 || alpha == 0.0) return;
+    const auto kernel =
+        rt_.resolve(KernelKind::kAxpy, classify_vector_shape(m));
+    for (index_t j = 0; j < n; ++j)
+      axpy_with_blas_semantics(kernel->fn<KernelSet::AxpyFn>(), m,
+                               alpha * y[j], x, &at(a, lda, 0, j));
+  }
+
   void axpy(index_t n, double alpha, const double* x, double* y) override {
     if (n <= 0 || alpha == 0.0) return;
     const auto kernel =

@@ -7,6 +7,11 @@
 
 namespace augem {
 
+/// MFLOPS given a flop count and elapsed seconds (the paper's unit).
+inline double mflops(double flops, double seconds) {
+  return seconds > 0 ? flops / seconds / 1.0e6 : 0.0;
+}
+
 /// 2*m*n*k flops for C(m×n) += A(m×k) * B(k×n).
 inline double gemm_flops(std::int64_t m, std::int64_t n, std::int64_t k) {
   return 2.0 * static_cast<double>(m) * static_cast<double>(n) *

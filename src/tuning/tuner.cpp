@@ -2,17 +2,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <map>
 #include <sstream>
 
 #include "asmgen/codegen.hpp"
 #include "jit/jit.hpp"
+#include "perf/clock.hpp"
 #include "perf/stats.hpp"
 #include "support/buffer.hpp"
 #include "support/error.hpp"
 #include "support/flops.hpp"
 #include "support/rng.hpp"
-#include "support/timer.hpp"
 
 namespace augem::tuning {
 
@@ -78,7 +79,7 @@ std::vector<double> time_candidate(KernelKind kind, const CGenParams& params,
   samples.reserve(static_cast<std::size_t>(reps));
   const auto sample = [&](double flops, const std::function<void()>& fn) {
     for (int r = 0; r < reps; ++r)
-      samples.push_back(mflops(flops, time_best_of(1, fn)));
+      samples.push_back(mflops(flops, perf::time_call(fn)));
   };
   switch (kind) {
     case KernelKind::kGemm: {
@@ -254,7 +255,7 @@ class SearchRun {
   std::map<std::string, std::size_t> seen_;
   int best_ = -1;
   int budget_ = 0;
-  Timer timer_;
+  perf::Stopwatch timer_;
 };
 
 }  // namespace
@@ -348,86 +349,6 @@ TuneResult tune_level1(KernelKind kind, Isa isa, const TuneWorkload& workload,
                        const SearchOptions& opts) {
   AUGEM_CHECK(kind != KernelKind::kGemm, "use tune_gemm for GEMM");
   return tune_space(kind, isa, SearchSpace::level1(), workload, opts);
-}
-
-std::string DriverTrial::describe() const {
-  std::ostringstream os;
-  os << "threads=" << threads << " mc=" << sizes.mc << " nc=" << sizes.nc
-     << " kc=" << sizes.kc << " -> " << static_cast<long>(mflops)
-     << " MFLOPS";
-  return os.str();
-}
-
-blas::GemmContext DriverTuneResult::context() const {
-  blas::GemmContext ctx = blas::threaded_gemm_context(sizes);
-  ctx.threads = threads;
-  return ctx;
-}
-
-std::string DriverTuneResult::report() const {
-  std::ostringstream os;
-  os << "tuning the blocked GEMM driver:\n";
-  for (const DriverTrial& t : trials) os << "  " << t.describe() << "\n";
-  os << "best: threads=" << threads << " mc=" << sizes.mc << " nc="
-     << sizes.nc << " kc=" << sizes.kc << " ("
-     << static_cast<long>(mflops) << " MFLOPS)\n";
-  return os.str();
-}
-
-DriverTuneResult tune_driver(const blas::BlockKernel& kernel,
-                             const blas::BlockSizes& base, std::int64_t m,
-                             std::int64_t n, std::int64_t k, int reps) {
-  AUGEM_CHECK(m > 0 && n > 0 && k > 0, "driver workload must be non-empty");
-  ThreadPool& pool = ThreadPool::global();
-
-  std::vector<int> thread_counts;
-  for (int t = 1; t < pool.num_threads(); t *= 2) thread_counts.push_back(t);
-  thread_counts.push_back(pool.num_threads());
-
-  // Block-size scalings around the cache-derived base, clamped and kept on
-  // the register-tile multiple the serial derivation uses.
-  auto rounded = [](blas::index_t v) {
-    return std::max<blas::index_t>(8, v / 8 * 8);
-  };
-  std::vector<blas::BlockSizes> size_variants{base};
-  blas::BlockSizes half_mc = base, twice_mc = base, half_nc = base;
-  half_mc.mc = rounded(base.mc / 2);
-  twice_mc.mc = rounded(base.mc * 2);
-  half_nc.nc = rounded(base.nc / 2);
-  size_variants.push_back(half_mc);
-  size_variants.push_back(twice_mc);
-  size_variants.push_back(half_nc);
-
-  Rng rng(23);
-  DoubleBuffer a(static_cast<std::size_t>(m * k));
-  DoubleBuffer b(static_cast<std::size_t>(k * n));
-  DoubleBuffer c(static_cast<std::size_t>(m * n));
-  rng.fill(a.span());
-  rng.fill(b.span());
-
-  DriverTuneResult best;
-  for (const blas::BlockSizes& sizes : size_variants) {
-    for (int threads : thread_counts) {
-      blas::GemmContext ctx = blas::threaded_gemm_context(sizes);
-      ctx.threads = threads;
-      DriverTrial trial;
-      trial.threads = threads;
-      trial.sizes = sizes;
-      const double s = time_best_of(reps, [&] {
-        blas::blocked_gemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.0,
-                           a.data(), m, b.data(), k, 0.0, c.data(), m, ctx,
-                           kernel);
-      });
-      trial.mflops = mflops(gemm_flops(m, n, k), s);
-      if (trial.mflops > best.mflops) {
-        best.threads = threads;
-        best.sizes = sizes;
-        best.mflops = trial.mflops;
-      }
-      best.trials.push_back(trial);
-    }
-  }
-  return best;
 }
 
 }  // namespace augem::tuning

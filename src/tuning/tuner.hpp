@@ -76,37 +76,4 @@ TuneResult tune_space(frontend::KernelKind kind, Isa isa,
                       const SearchSpace& space, const TuneWorkload& workload,
                       const SearchOptions& opts);
 
-// ---- macro-loop (driver) tuning ------------------------------------------
-
-/// One evaluated (thread count, block sizes) point of the driver sweep.
-struct DriverTrial {
-  int threads = 1;
-  blas::BlockSizes sizes;
-  double mflops = 0.0;
-  std::string describe() const;
-};
-
-/// Outcome of the macro-loop search: the best-performing GemmContext
-/// parameters plus the full trial log.
-struct DriverTuneResult {
-  int threads = 1;
-  blas::BlockSizes sizes;
-  double mflops = 0.0;
-  std::vector<DriverTrial> trials;
-
-  /// The winning configuration as a ready-to-use driver context.
-  blas::GemmContext context() const;
-
-  std::string report() const;
-};
-
-/// Sweeps thread counts (1, 2, 4, … up to the global pool size) alongside
-/// mc/nc scalings around `base`, timing the full blocked driver with
-/// `kernel` on an m×n×k DGEMM workload. Complements tune_gemm: that search
-/// picks the register tile inside the micro kernel, this one picks the
-/// macro-loop decomposition around it.
-DriverTuneResult tune_driver(const blas::BlockKernel& kernel,
-                             const blas::BlockSizes& base, std::int64_t m,
-                             std::int64_t n, std::int64_t k, int reps = 3);
-
 }  // namespace augem::tuning

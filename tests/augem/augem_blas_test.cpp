@@ -1,13 +1,15 @@
-// The AUGEM-backed BLAS — generated assembly under the Goto driver — must
-// match the reference implementation on every routine the evaluation uses.
-
-#include "augem/augem_blas.hpp"
+// The AUGEM BLAS on the untuned default kernels — RuntimeBlas over a
+// memory-only runtime without the tuner, the configuration of the figure
+// benches' AUGEM series — must match the reference implementation on every
+// routine the evaluation uses.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "blas/reference.hpp"
+#include "runtime/runtime_blas.hpp"
 #include "support/rng.hpp"
 
 namespace augem {
@@ -19,22 +21,27 @@ using blas::Side;
 using blas::Trans;
 using blas::Uplo;
 
-class AugemBlasTest : public ::testing::Test {
+class UntunedRuntimeBlas : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() { lib_ = make_augem_blas().release(); }
-  static void TearDownTestSuite() {
-    delete lib_;
-    lib_ = nullptr;
+  static void SetUpTestSuite() {
+    runtime::RuntimeConfig config;
+    config.use_persistent = false;
+    config.tune_on_miss = false;
+    rt_ = std::make_unique<runtime::KernelRuntime>(config);
+    lib_ = runtime::make_runtime_blas(*rt_);
   }
-  static blas::Blas* lib_;
+  static void TearDownTestSuite() {
+    lib_.reset();
+    rt_.reset();
+  }
+  static inline std::unique_ptr<runtime::KernelRuntime> rt_;
+  static inline std::unique_ptr<blas::Blas> lib_;
   Rng rng_{41};
 };
 
-blas::Blas* AugemBlasTest::lib_ = nullptr;
+TEST_F(UntunedRuntimeBlas, Name) { EXPECT_EQ(lib_->name(), "AUGEM-runtime"); }
 
-TEST_F(AugemBlasTest, Name) { EXPECT_EQ(lib_->name(), "AUGEM"); }
-
-TEST_F(AugemBlasTest, GemmAcrossShapes) {
+TEST_F(UntunedRuntimeBlas, GemmAcrossShapes) {
   for (auto [m, n, k] :
        {std::tuple<index_t, index_t, index_t>{64, 64, 64},
         {256, 96, 256},
@@ -61,7 +68,7 @@ TEST_F(AugemBlasTest, GemmAcrossShapes) {
   }
 }
 
-TEST_F(AugemBlasTest, GemmTransposed) {
+TEST_F(UntunedRuntimeBlas, GemmTransposed) {
   const index_t m = 48, n = 32, k = 40;
   std::vector<double> a(static_cast<std::size_t>(k * m));
   std::vector<double> b(static_cast<std::size_t>(n * k));
@@ -77,7 +84,7 @@ TEST_F(AugemBlasTest, GemmTransposed) {
     ASSERT_NEAR(c[i], c_ref[i], 1e-10) << i;
 }
 
-TEST_F(AugemBlasTest, GemvIncludingAlphaBeta) {
+TEST_F(UntunedRuntimeBlas, GemvIncludingAlphaBeta) {
   for (const index_t m : {1, 9, 256, 1000}) {
     const index_t n = 37, lda = m + 1;
     std::vector<double> a(static_cast<std::size_t>(lda * n)), x(n), y(m);
@@ -92,7 +99,24 @@ TEST_F(AugemBlasTest, GemvIncludingAlphaBeta) {
   }
 }
 
-TEST_F(AugemBlasTest, GemvTransposedViaDotKernel) {
+TEST_F(UntunedRuntimeBlas, GemvNonUnitAlphaFoldsIntoX) {
+  // The generated GEMV kernel computes y += A*x, so the wrapper folds a
+  // non-unit alpha into a scaled copy of x; a negative alpha with beta 2
+  // exercises both scalings at once.
+  const index_t m = 19, n = 9;
+  std::vector<double> a(static_cast<std::size_t>(m * n)),
+      x(static_cast<std::size_t>(n)), y(static_cast<std::size_t>(m));
+  rng_.fill(a);
+  rng_.fill(x);
+  rng_.fill(y);
+  std::vector<double> want = y;
+  lib_->gemv(m, n, -1.5, a.data(), m, x.data(), 2.0, y.data());
+  blas::ref::gemv(m, n, -1.5, a.data(), m, x.data(), 2.0, want.data());
+  for (index_t i = 0; i < m; ++i)
+    ASSERT_NEAR(y[i], want[i], 1e-11 * static_cast<double>(n));
+}
+
+TEST_F(UntunedRuntimeBlas, GemvTransposedViaDotKernel) {
   const index_t m = 300, n = 40, lda = m + 1;
   std::vector<double> a(static_cast<std::size_t>(lda * n)), x(m), y(n);
   rng_.fill(a);
@@ -105,7 +129,7 @@ TEST_F(AugemBlasTest, GemvTransposedViaDotKernel) {
     ASSERT_NEAR(y[j], y_ref[j], 1e-10) << j;
 }
 
-TEST_F(AugemBlasTest, AxpyDot) {
+TEST_F(UntunedRuntimeBlas, AxpyDot) {
   for (const index_t n : {0, 1, 5, 16, 1000, 10007}) {
     std::vector<double> x(static_cast<std::size_t>(n)),
         y(static_cast<std::size_t>(n));
@@ -121,7 +145,7 @@ TEST_F(AugemBlasTest, AxpyDot) {
   }
 }
 
-TEST_F(AugemBlasTest, Table6RoutinesMatchReference) {
+TEST_F(UntunedRuntimeBlas, Table6RoutinesMatchReference) {
   const index_t n = 160, k = 48, m = 160, cols = 24;
   // SYRK.
   {

@@ -1,7 +1,8 @@
-// End-to-end AUGEM BLAS variants: kernel sets generated for *each* natively
-// executable ISA (not just the best one), non-default register tiles, and
-// custom cache-block sizes must all produce correct results — the
-// configuration space a user of the library can actually reach.
+// End-to-end GEMM through pinned kernel sets: kernels generated for *each*
+// natively executable ISA (not just the best one), non-default register
+// tiles, and custom cache-block sizes must all produce correct results
+// under the blocked driver — the configuration space a caller that pins its
+// own KernelSet can actually reach.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +18,10 @@ namespace {
 using blas::index_t;
 using blas::Trans;
 
-void check_gemm(blas::Blas& lib, index_t m, index_t n, index_t k,
-                unsigned seed) {
+/// C = 1.25*A*B - 0.5*C through the threaded blocked driver on `kernels`
+/// with block sizes `sizes`, checked against the reference.
+void check_gemm(const KernelSet& kernels, const blas::BlockSizes& sizes,
+                index_t m, index_t n, index_t k, unsigned seed) {
   Rng rng(seed);
   const index_t lda = m + 1, ldb = k + 1, ldc = m + 2;
   std::vector<double> a(static_cast<std::size_t>(lda * k));
@@ -28,23 +31,27 @@ void check_gemm(blas::Blas& lib, index_t m, index_t n, index_t k,
   rng.fill(b);
   rng.fill(c);
   std::vector<double> c_ref = c;
-  lib.gemm(Trans::kNo, Trans::kNo, m, n, k, 1.25, a.data(), lda, b.data(),
-           ldb, -0.5, c.data(), ldc);
+  blas::blocked_gemm(Trans::kNo, Trans::kNo, m, n, k, 1.25, a.data(), lda,
+                     b.data(), ldb, -0.5, c.data(), ldc,
+                     blas::threaded_gemm_context(sizes),
+                     padded_gemm_block_kernel(kernels.gemm(),
+                                              kernels.gemm_mr(),
+                                              kernels.gemm_nr()));
   blas::ref::gemm(Trans::kNo, Trans::kNo, m, n, k, 1.25, a.data(), lda,
                   b.data(), ldb, -0.5, c_ref.data(), ldc);
   const double tol = 1e-11 * static_cast<double>(k);
   for (std::size_t i = 0; i < c.size(); ++i)
-    ASSERT_NEAR(c[i], c_ref[i], tol) << lib.name() << " " << i;
+    ASSERT_NEAR(c[i], c_ref[i], tol) << isa_name(kernels.isa()) << " " << i;
 }
 
 TEST(KernelVariants, EveryNativeIsaProducesCorrectBlas) {
   for (Isa isa : host_arch().native_isas()) {
     if (isa == Isa::kFma4 && !host_arch().has_fma4) continue;
     SCOPED_TRACE(isa_name(isa));
-    auto kernels = std::make_shared<KernelSet>(isa);
-    auto lib = make_augem_blas(kernels, blas::default_block_sizes(host_arch()));
-    check_gemm(*lib, 96, 64, 80, 7);
-    check_gemm(*lib, 13, 9, 17, 8);  // edges everywhere
+    const KernelSet kernels(isa);
+    const blas::BlockSizes sizes = blas::default_block_sizes(host_arch());
+    check_gemm(kernels, sizes, 96, 64, 80, 7);
+    check_gemm(kernels, sizes, 13, 9, 17, 8);  // edges everywhere
 
     // Level-1 through the same set.
     Rng rng(9);
@@ -52,7 +59,7 @@ TEST(KernelVariants, EveryNativeIsaProducesCorrectBlas) {
     rng.fill(x);
     rng.fill(y);
     std::vector<double> y_ref = y;
-    lib->axpy(777, 1.5, x.data(), y.data());
+    axpy_with_blas_semantics(kernels.axpy(), 777, 1.5, x.data(), y.data());
     blas::ref::axpy(777, 1.5, x.data(), y_ref.data());
     for (std::size_t i = 0; i < y.size(); ++i)
       ASSERT_NEAR(y[i], y_ref[i], 1e-13);
@@ -67,29 +74,26 @@ TEST(KernelVariants, NonDefaultTileAndShufStrategy) {
   gemm_p.nr = w;  // the n×n tile the Shuf strategy requires
   transform::CGenParams l1_p;
   l1_p.unroll = 4;
-  auto kernels = std::make_shared<KernelSet>(isa, gemm_p,
-                                             opt::VecStrategy::kShuf, l1_p);
-  auto lib = make_augem_blas(kernels, blas::default_block_sizes(host_arch()));
-  check_gemm(*lib, 64, 48, 96, 11);
-  check_gemm(*lib, w, w, 1, 12);
+  const KernelSet kernels(isa, gemm_p, opt::VecStrategy::kShuf, l1_p);
+  const blas::BlockSizes sizes = blas::default_block_sizes(host_arch());
+  check_gemm(kernels, sizes, 64, 48, 96, 11);
+  check_gemm(kernels, sizes, w, w, 1, 12);
 }
 
 TEST(KernelVariants, TinyBlockSizesStressTheDriver) {
-  auto kernels = std::make_shared<KernelSet>(host_arch().best_native_isa());
+  const KernelSet kernels(host_arch().best_native_isa());
   blas::BlockSizes tiny;
-  tiny.mc = static_cast<index_t>(kernels->gemm_mr());
-  tiny.nc = static_cast<index_t>(kernels->gemm_nr());
+  tiny.mc = static_cast<index_t>(kernels.gemm_mr());
+  tiny.nc = static_cast<index_t>(kernels.gemm_nr());
   tiny.kc = 3;
-  auto lib = make_augem_blas(kernels, tiny);
-  check_gemm(*lib, 50, 30, 20, 13);  // many blocks in every dimension
+  check_gemm(kernels, tiny, 50, 30, 20, 13);  // many blocks in every dimension
 }
 
 TEST(KernelVariants, SharedKernelSetAcrossTwoBlasInstances) {
-  auto kernels = std::make_shared<KernelSet>(host_arch().best_native_isa());
-  auto lib1 = make_augem_blas(kernels, blas::default_block_sizes(host_arch()));
-  auto lib2 = make_augem_blas(kernels, {32, 16, 8});
-  check_gemm(*lib1, 40, 40, 40, 14);
-  check_gemm(*lib2, 40, 40, 40, 14);
+  // One kernel set under two driver configurations.
+  const KernelSet kernels(host_arch().best_native_isa());
+  check_gemm(kernels, blas::default_block_sizes(host_arch()), 40, 40, 40, 14);
+  check_gemm(kernels, {32, 16, 8}, 40, 40, 40, 14);
 }
 
 TEST(KernelVariants, ScalarStrategyBlasIsCorrectIfSlow) {
@@ -99,10 +103,8 @@ TEST(KernelVariants, ScalarStrategyBlasIsCorrectIfSlow) {
   gemm_p.nr = 2;
   transform::CGenParams l1_p;
   l1_p.unroll = 2;
-  auto kernels = std::make_shared<KernelSet>(isa, gemm_p,
-                                             opt::VecStrategy::kScalar, l1_p);
-  auto lib = make_augem_blas(kernels, blas::default_block_sizes(host_arch()));
-  check_gemm(*lib, 30, 22, 18, 15);
+  const KernelSet kernels(isa, gemm_p, opt::VecStrategy::kScalar, l1_p);
+  check_gemm(kernels, blas::default_block_sizes(host_arch()), 30, 22, 18, 15);
 }
 
 }  // namespace

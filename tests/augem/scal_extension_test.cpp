@@ -6,10 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "augem/augem.hpp"
-#include "augem/augem_blas.hpp"
 #include "blas/libraries.hpp"
 #include "blas/reference.hpp"
 #include "match/identifier.hpp"
+#include "runtime/runtime_blas.hpp"
 #include "support/buffer.hpp"
 #include "support/rng.hpp"
 #include "transform/ckernel.hpp"
@@ -90,7 +90,11 @@ TEST(ScalExtension, KernelSetExposesNativeScal) {
 }
 
 TEST(ScalExtension, AllBlasLibrariesAgree) {
-  auto augem_lib = make_augem_blas();
+  runtime::RuntimeConfig config;
+  config.use_persistent = false;
+  config.tune_on_miss = false;
+  runtime::KernelRuntime rt(config);
+  auto augem_lib = runtime::make_runtime_blas(rt);
   std::vector<std::unique_ptr<blas::Blas>> libs;
   libs.push_back(blas::make_refblas());
   libs.push_back(blas::make_gotosim());

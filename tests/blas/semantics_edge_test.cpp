@@ -22,6 +22,8 @@
 #include "blas/driver.hpp"
 #include "blas/libraries.hpp"
 #include "blas/reference.hpp"
+#include "jit/jit.hpp"
+#include "runtime/runtime_blas.hpp"
 #include "support/rng.hpp"
 
 namespace augem::blas {
@@ -34,11 +36,26 @@ std::unique_ptr<Blas> make_library(const std::string& which) {
   if (which == "refblas") return make_refblas();
   if (which == "gotosim") return make_gotosim();
   if (which == "atlsim") return make_atlsim();
+  if (which == "runtime") {
+    // The BLAS every user calls, on the untuned default kernels.
+    static runtime::KernelRuntime rt([] {
+      runtime::RuntimeConfig c;
+      c.use_persistent = false;
+      c.tune_on_miss = false;
+      return c;
+    }());
+    return runtime::make_runtime_blas(rt);
+  }
   return make_vendorsim();
 }
 
 class SemanticsEdge : public ::testing::TestWithParam<std::string> {
  protected:
+  void SetUp() override {
+    if (GetParam() == "runtime" && !jit::toolchain_available())
+      GTEST_SKIP() << "no assembler toolchain; RuntimeBlas needs native "
+                      "kernels";
+  }
   std::unique_ptr<Blas> lib_ = make_library(GetParam());
   Rng rng_{2026};
 };
@@ -155,7 +172,7 @@ TEST_P(SemanticsEdge, GemvTBetaZeroOverwritesNaN) {
 
 INSTANTIATE_TEST_SUITE_P(AllLibraries, SemanticsEdge,
                          ::testing::Values("refblas", "gotosim", "atlsim",
-                                           "vendorsim"),
+                                           "vendorsim", "runtime"),
                          [](const auto& info) { return info.param; });
 
 // ---- the blocked driver itself (both threading modes) ----------------------

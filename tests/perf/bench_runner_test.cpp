@@ -44,7 +44,9 @@ RunnerOptions quiet_options() {
 TEST(BenchRunner, RespectsRepBudgets) {
   EnvGuard guard("AUGEM_BENCH_REPS");
   RunnerOptions o = quiet_options();
-  o.target_rel_ci = 0.0;  // unreachable: must stop at max_reps exactly
+  // Unreachable: no CI is negative (identical samples give a 0 CI, which
+  // would meet a 0.0 target), so the runner must stop at max_reps exactly.
+  o.target_rel_ci = -1.0;
   const Measurement m = BenchRunner(o).run(0.0, [] { spin_fpu(1e-5); });
   EXPECT_EQ(static_cast<int>(m.samples_s.size()), o.max_reps);
   EXPECT_FALSE(m.hit_target_ci);

@@ -17,6 +17,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -40,6 +41,10 @@ struct SnapshotCase {
   /// snapshotted instead of the generic blocked kernel.
   std::optional<frontend::SmallGemmSpec> small;
 };
+
+/// gtest prints the parameter into each ctest name; the stem keeps those
+/// names stable (the default byte dump shows padding and heap pointers).
+void PrintTo(const SnapshotCase& c, std::ostream* os) { *os << c.stem; }
 
 GenerateOptions options_for(const SnapshotCase& c) {
   if (c.small) {

@@ -5,6 +5,12 @@
 namespace augem {
 namespace {
 
+TEST(Flops, MflopsComputesCorrectly) {
+  EXPECT_DOUBLE_EQ(mflops(2.0e6, 1.0), 2.0);
+  EXPECT_DOUBLE_EQ(mflops(1.0e6, 0.5), 2.0);
+  EXPECT_EQ(mflops(1.0e6, 0.0), 0.0);
+}
+
 TEST(Flops, Gemm) { EXPECT_DOUBLE_EQ(gemm_flops(10, 20, 30), 12000.0); }
 
 TEST(Flops, Gemv) { EXPECT_DOUBLE_EQ(gemv_flops(100, 50), 10000.0); }

@@ -64,42 +64,6 @@ TEST(Tuner, Level1RejectsGemm) {
                Error);
 }
 
-TEST(Tuner, DriverSweepCoversThreadsAndBlockSizes) {
-  // Cheap kernel + tiny workload: the point is the sweep structure, not
-  // the timings.
-  const blas::BlockKernel naive = [](blas::index_t mc, blas::index_t nc,
-                                     blas::index_t kc, const double* pa,
-                                     const double* pb, double* c,
-                                     blas::index_t ldc) {
-    for (blas::index_t j = 0; j < nc; ++j)
-      for (blas::index_t i = 0; i < mc; ++i) {
-        double acc = 0.0;
-        for (blas::index_t l = 0; l < kc; ++l)
-          acc += pa[l * mc + i] * pb[l * nc + j];
-        blas::at(c, ldc, i, j) += acc;
-      }
-  };
-  const blas::BlockSizes base{32, 64, 32};
-  const DriverTuneResult r = tune_driver(naive, base, 64, 64, 64, 1);
-  EXPECT_GT(r.mflops, 0.0);
-  EXPECT_GE(r.threads, 1);
-  // 4 block-size variants × every candidate thread count, all logged.
-  ASSERT_FALSE(r.trials.empty());
-  EXPECT_EQ(r.trials.size() % 4, 0u);
-  bool has_serial = false, winner_logged = false;
-  for (const DriverTrial& t : r.trials) {
-    has_serial |= t.threads == 1;
-    winner_logged |= t.mflops == r.mflops;
-  }
-  EXPECT_TRUE(has_serial);
-  EXPECT_TRUE(winner_logged);
-  // The winner round-trips into a usable context.
-  const blas::GemmContext ctx = r.context();
-  EXPECT_EQ(ctx.threads, r.threads);
-  EXPECT_EQ(ctx.sizes.mc, r.sizes.mc);
-  EXPECT_FALSE(r.report().empty());
-}
-
 TEST(Tuner, ReportMentionsEveryTrial) {
   const TuneResult r =
       tune_level1(KernelKind::kAxpy, host_arch().best_native_isa(), quick_workload());

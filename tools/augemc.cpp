@@ -12,6 +12,7 @@
 //     --no-schedule                      disable instruction scheduling
 //     --run N                            JIT the kernel and time it on a
 //                                        synthetic workload of size N
+//                                        (median MFLOPS, perf::BenchRunner)
 //     -o FILE                            write to FILE instead of stdout
 //     --help
 //
@@ -29,10 +30,10 @@
 
 #include "augem/augem.hpp"
 #include "match/identifier.hpp"
+#include "perf/bench_runner.hpp"
 #include "support/buffer.hpp"
 #include "support/flops.hpp"
 #include "support/rng.hpp"
-#include "support/timer.hpp"
 
 namespace {
 
@@ -147,10 +148,9 @@ void run_kernel(const asmgen::GeneratedKernel& gen, KernelKind kind,
       break;
     }
   }
-  work();  // warm up
-  const double s = time_best_of(5, work);
+  const perf::Measurement m = perf::BenchRunner().run(flops, work);
   std::printf("%s [%s] size %ld: %.1f MFLOPS\n", gen.name.c_str(),
-              isa_name(options.config.isa), n, mflops(flops, s));
+              isa_name(options.config.isa), n, m.mflops());
 }
 
 }  // namespace
