@@ -1,10 +1,6 @@
 #include "blas/blas.hpp"
 
-#include <algorithm>
-#include <cmath>
-
-#include "support/error.hpp"
-#include "support/scratch.hpp"
+#include <utility>
 
 namespace augem::blas {
 
@@ -61,382 +57,67 @@ void Blas::ger(index_t m, index_t n, double alpha, const double* x,
     axpy(m, alpha * y[j], x, &at(a, lda, 0, j));
 }
 
-namespace {
-
-/// Scales the stored triangle of C with beta_scale semantics (the SYRK /
-/// SYR2K output update: the opposite triangle is never touched).
-void beta_scale_triangle(Uplo uplo, index_t n, double beta, double* c,
-                         index_t ldc) {
-  for (index_t j = 0; j < n; ++j) {
-    if (uplo == Uplo::kLower)
-      beta_scale(&at(c, ldc, j, j), n - j, beta);
-    else
-      beta_scale(&at(c, ldc, 0, j), j + 1, beta);
-  }
+GemmPlan Blas::plan_if_multiplying(index_t m, index_t n, index_t k,
+                                   double alpha) {
+  // A call that multiplies nothing is a beta update (or a no-op): it never
+  // reads A or B, so it needs no kernel — RuntimeBlas resolves none.
+  if (m <= 0 || n <= 0 || k <= 0 || alpha == 0.0) return {};
+  return gemm_plan(m, n, k);
 }
 
-/// Shared trsm pivot policy (docs/correctness.md): `piv != 0.0` alone waves
-/// NaN pivots through (NaN != 0.0 is true) and the division then floods
-/// the column with NaN — reject anything non-finite with its own message.
-void check_pivot(double piv) {
-  AUGEM_CHECK(std::isfinite(piv) && piv != 0.0,
-              "non-finite or zero pivot in triangular solve");
+Level3Config Blas::level3_config(index_t m, index_t n, index_t k,
+                                 double alpha) {
+  GemmPlan plan = plan_if_multiplying(m, n, k, alpha);
+  return {plan.ctx, std::move(plan.kernel), l3_block_, nullptr};
 }
 
-}  // namespace
+void Blas::gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
+                double alpha, const double* a, index_t lda, const double* b,
+                index_t ldb, double beta, double* c, index_t ldc) {
+  const GemmPlan plan = plan_if_multiplying(m, n, k, alpha);
+  blocked_gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, plan.ctx,
+               plan.kernel);
+}
+
+// The engine routines handle the degenerate calls (empty extents, alpha ==
+// 0, k == 0) before touching the kernel, so an empty plan serves them.
 
 void Blas::symm(Side side, Uplo uplo, index_t m, index_t n, double alpha,
                 const double* a, index_t lda, const double* b, index_t ldb,
                 double beta, double* c, index_t ldc) {
-  if (m <= 0 || n <= 0) return;
-  // Scale C once (beta == 0 overwrites — beta_scale semantics)…
-  for (index_t j = 0; j < n; ++j) beta_scale(&at(c, ldc, 0, j), m, beta);
-  // …and stop there for alpha == 0: netlib dsymm never reads A or B then
-  // (they may be null or NaN-poisoned).
-  if (alpha == 0.0) return;
-
-  const index_t nb = level3_block();
-  // Per-thread cached scratch lease: symm is called in loops (e.g. by
-  // solvers), so the diagonal-block temporary must not hit the allocator
-  // per call; the lease guards the slot across the nested virtual gemms.
-  ScratchLease diag(static_cast<std::size_t>(nb * nb), Scratch::kLevel3TmpA);
-  if (side == Side::kLeft) {
-    // C(bi, :) += alpha * symA(bi, bl) * B(bl, :) block pair by block pair;
-    // off-diagonal block pairs are fully inside one stored triangle, so
-    // they run as direct or transposed GEMMs on the stored data.
-    for (index_t bi = 0; bi < m; bi += nb) {
-      const index_t mb = std::min(nb, m - bi);
-      for (index_t bl = 0; bl < m; bl += nb) {
-        const index_t lb = std::min(nb, m - bl);
-        const bool stored = uplo == Uplo::kLower ? bi > bl : bi < bl;
-        if (bi == bl) {
-          // Diagonal block: expand the symmetric block densely, then GEMM.
-          for (index_t jj = 0; jj < lb; ++jj)
-            for (index_t ii = 0; ii < mb; ++ii)
-              diag.data()[jj * mb + ii] =
-                  sym_at(a, lda, uplo, bi + ii, bl + jj);
-          gemm(Trans::kNo, Trans::kNo, mb, n, lb, alpha, diag.data(), mb,
-               &at(b, ldb, bl, 0), ldb, 1.0, &at(c, ldc, bi, 0), ldc);
-        } else if (stored) {
-          gemm(Trans::kNo, Trans::kNo, mb, n, lb, alpha, &at(a, lda, bi, bl),
-               lda, &at(b, ldb, bl, 0), ldb, 1.0, &at(c, ldc, bi, 0), ldc);
-        } else {
-          // The unstored triangle comes from the transposed stored block.
-          gemm(Trans::kYes, Trans::kNo, mb, n, lb, alpha, &at(a, lda, bl, bi),
-               lda, &at(b, ldb, bl, 0), ldb, 1.0, &at(c, ldc, bi, 0), ldc);
-        }
-      }
-    }
-  } else {
-    // Right side: C(:, bj) += alpha * B(:, bl) * symA(bl, bj).
-    for (index_t bj = 0; bj < n; bj += nb) {
-      const index_t jb = std::min(nb, n - bj);
-      for (index_t bl = 0; bl < n; bl += nb) {
-        const index_t lb = std::min(nb, n - bl);
-        const bool stored = uplo == Uplo::kLower ? bl > bj : bl < bj;
-        if (bl == bj) {
-          for (index_t jj = 0; jj < jb; ++jj)
-            for (index_t ii = 0; ii < lb; ++ii)
-              diag.data()[jj * lb + ii] =
-                  sym_at(a, lda, uplo, bl + ii, bj + jj);
-          gemm(Trans::kNo, Trans::kNo, m, jb, lb, alpha, &at(b, ldb, 0, bl),
-               ldb, diag.data(), lb, 1.0, &at(c, ldc, 0, bj), ldc);
-        } else if (stored) {
-          gemm(Trans::kNo, Trans::kNo, m, jb, lb, alpha, &at(b, ldb, 0, bl),
-               ldb, &at(a, lda, bl, bj), lda, 1.0, &at(c, ldc, 0, bj), ldc);
-        } else {
-          gemm(Trans::kNo, Trans::kYes, m, jb, lb, alpha, &at(b, ldb, 0, bl),
-               ldb, &at(a, lda, bj, bl), lda, 1.0, &at(c, ldc, 0, bj), ldc);
-        }
-      }
-    }
-  }
+  const index_t ka = side == Side::kLeft ? m : n;
+  level3_symm(level3_config(m, n, ka, alpha), side, uplo, m, n, alpha, a, lda,
+              b, ldb, beta, c, ldc);
 }
 
 void Blas::syrk(Uplo uplo, Trans trans, index_t n, index_t k, double alpha,
                 const double* a, index_t lda, double beta, double* c,
                 index_t ldc) {
-  if (n <= 0) return;
-  beta_scale_triangle(uplo, n, beta, c, ldc);
-  // netlib dsyrk: with alpha == 0 or an empty k-sum only the beta update
-  // happens; A must not be read (it may be null or poisoned).
-  if (alpha == 0.0 || k <= 0) return;
-
-  const index_t nbk = level3_block();
-  ScratchLease tmp(static_cast<std::size_t>(nbk * nbk), Scratch::kLevel3TmpA);
-  for (index_t bj = 0; bj < n; bj += nbk) {
-    const index_t nb = std::min(nbk, n - bj);
-    // Diagonal block through a temporary so only the triangle is touched.
-    if (trans == Trans::kNo)
-      gemm(Trans::kNo, Trans::kYes, nb, nb, k, 1.0, &at(a, lda, bj, 0), lda,
-           &at(a, lda, bj, 0), lda, 0.0, tmp.data(), nb);
-    else
-      gemm(Trans::kYes, Trans::kNo, nb, nb, k, 1.0, &at(a, lda, 0, bj), lda,
-           &at(a, lda, 0, bj), lda, 0.0, tmp.data(), nb);
-    for (index_t jj = 0; jj < nb; ++jj) {
-      const index_t ii0 = uplo == Uplo::kLower ? jj : 0;
-      const index_t ii1 = uplo == Uplo::kLower ? nb : jj + 1;
-      for (index_t ii = ii0; ii < ii1; ++ii)
-        at(c, ldc, bj + ii, bj + jj) += alpha * tmp.data()[jj * nb + ii];
-    }
-    // Off-diagonal panel in one GEMM: the rows below the diagonal block
-    // for the lower triangle, the rows above it for the upper one.
-    const index_t r0 = uplo == Uplo::kLower ? bj + nb : 0;
-    const index_t rows = uplo == Uplo::kLower ? n - (bj + nb) : bj;
-    if (rows <= 0) continue;
-    if (trans == Trans::kNo)
-      gemm(Trans::kNo, Trans::kYes, rows, nb, k, alpha, &at(a, lda, r0, 0),
-           lda, &at(a, lda, bj, 0), lda, 1.0, &at(c, ldc, r0, bj), ldc);
-    else
-      gemm(Trans::kYes, Trans::kNo, rows, nb, k, alpha, &at(a, lda, 0, r0),
-           lda, &at(a, lda, 0, bj), lda, 1.0, &at(c, ldc, r0, bj), ldc);
-  }
+  level3_syrk(level3_config(n, n, k, alpha), uplo, trans, n, k, alpha, a, lda,
+              beta, c, ldc);
 }
 
 void Blas::syr2k(Uplo uplo, Trans trans, index_t n, index_t k, double alpha,
                  const double* a, index_t lda, const double* b, index_t ldb,
                  double beta, double* c, index_t ldc) {
-  if (n <= 0) return;
-  beta_scale_triangle(uplo, n, beta, c, ldc);
-  if (alpha == 0.0 || k <= 0) return;  // netlib dsyr2k: A and B not read
-
-  const index_t nbk = level3_block();
-  ScratchLease tmp(static_cast<std::size_t>(nbk * nbk), Scratch::kLevel3TmpA);
-  for (index_t bj = 0; bj < n; bj += nbk) {
-    const index_t nb = std::min(nbk, n - bj);
-    // Diagonal block: op(A)*op(B)^T + op(B)*op(A)^T into a temporary.
-    if (trans == Trans::kNo) {
-      gemm(Trans::kNo, Trans::kYes, nb, nb, k, 1.0, &at(a, lda, bj, 0), lda,
-           &at(b, ldb, bj, 0), ldb, 0.0, tmp.data(), nb);
-      gemm(Trans::kNo, Trans::kYes, nb, nb, k, 1.0, &at(b, ldb, bj, 0), ldb,
-           &at(a, lda, bj, 0), lda, 1.0, tmp.data(), nb);
-    } else {
-      gemm(Trans::kYes, Trans::kNo, nb, nb, k, 1.0, &at(a, lda, 0, bj), lda,
-           &at(b, ldb, 0, bj), ldb, 0.0, tmp.data(), nb);
-      gemm(Trans::kYes, Trans::kNo, nb, nb, k, 1.0, &at(b, ldb, 0, bj), ldb,
-           &at(a, lda, 0, bj), lda, 1.0, tmp.data(), nb);
-    }
-    for (index_t jj = 0; jj < nb; ++jj) {
-      const index_t ii0 = uplo == Uplo::kLower ? jj : 0;
-      const index_t ii1 = uplo == Uplo::kLower ? nb : jj + 1;
-      for (index_t ii = ii0; ii < ii1; ++ii)
-        at(c, ldc, bj + ii, bj + jj) += alpha * tmp.data()[jj * nb + ii];
-    }
-    const index_t r0 = uplo == Uplo::kLower ? bj + nb : 0;
-    const index_t rows = uplo == Uplo::kLower ? n - (bj + nb) : bj;
-    if (rows <= 0) continue;
-    if (trans == Trans::kNo) {
-      gemm(Trans::kNo, Trans::kYes, rows, nb, k, alpha, &at(a, lda, r0, 0),
-           lda, &at(b, ldb, bj, 0), ldb, 1.0, &at(c, ldc, r0, bj), ldc);
-      gemm(Trans::kNo, Trans::kYes, rows, nb, k, alpha, &at(b, ldb, r0, 0),
-           ldb, &at(a, lda, bj, 0), lda, 1.0, &at(c, ldc, r0, bj), ldc);
-    } else {
-      gemm(Trans::kYes, Trans::kNo, rows, nb, k, alpha, &at(a, lda, 0, r0),
-           lda, &at(b, ldb, 0, bj), ldb, 1.0, &at(c, ldc, r0, bj), ldc);
-      gemm(Trans::kYes, Trans::kNo, rows, nb, k, alpha, &at(b, ldb, 0, r0),
-           ldb, &at(a, lda, 0, bj), lda, 1.0, &at(c, ldc, r0, bj), ldc);
-    }
-  }
+  level3_syr2k(level3_config(n, n, k, alpha), uplo, trans, n, k, alpha, a,
+               lda, b, ldb, beta, c, ldc);
 }
 
 void Blas::trmm(Side side, Uplo uplo, Trans trans, index_t m, index_t n,
                 double alpha, const double* a, index_t lda, double* b,
                 index_t ldb) {
-  // Guard degenerate extents before any scratch sizing: the historical
-  // code computed ((m-1)/block) for m == 0 and sized block*n scratch for
-  // negative n.
-  if (m <= 0 || n <= 0) return;
-  if (alpha == 0.0) {  // netlib dtrmm: B := 0, A not read
-    for (index_t j = 0; j < n; ++j) beta_scale(&at(b, ldb, 0, j), m, 0.0);
-    return;
-  }
-
-  const bool upper = effective_upper(uplo, trans);
-  const index_t nbk = level3_block();
-  ScratchLease diag(static_cast<std::size_t>(nbk * nbk), Scratch::kLevel3TmpA);
-  if (side == Side::kLeft) {
-    ScratchLease copy(static_cast<std::size_t>(nbk) * static_cast<std::size_t>(n),
-                      Scratch::kLevel3TmpB);
-    // Row blocks in the in-place-safe order: effective-lower reads rows
-    // above the current block (process bottom-up), effective-upper reads
-    // rows below (top-down).
-    const index_t nblk = (m + nbk - 1) / nbk;
-    for (index_t step = 0; step < nblk; ++step) {
-      const index_t bi = (upper ? step : nblk - 1 - step) * nbk;
-      const index_t mb = std::min(nbk, m - bi);
-      // copy := B_bi, then B_bi := alpha * tri(A)_ii_dense * copy. The
-      // diagonal block is expanded densely with the off-triangle zeroed,
-      // so the unstored triangle of A is never read.
-      for (index_t j = 0; j < n; ++j)
-        for (index_t ii = 0; ii < mb; ++ii)
-          copy.data()[j * mb + ii] = at(b, ldb, bi + ii, j);
-      for (index_t jj = 0; jj < mb; ++jj)
-        for (index_t ii = 0; ii < mb; ++ii)
-          diag.data()[jj * mb + ii] =
-              tri_at(a, lda, uplo, trans, bi + ii, bi + jj);
-      gemm(Trans::kNo, Trans::kNo, mb, n, mb, alpha, diag.data(), mb,
-           copy.data(), mb, 0.0, &at(b, ldb, bi, 0), ldb);
-      // Panel contribution from the strict effective triangle — fully
-      // stored, so it runs directly on A (transposed view when op flips
-      // the stored triangle).
-      if (!upper && bi > 0) {
-        if (trans == Trans::kNo)
-          gemm(Trans::kNo, Trans::kNo, mb, n, bi, alpha, &at(a, lda, bi, 0),
-               lda, b, ldb, 1.0, &at(b, ldb, bi, 0), ldb);
-        else
-          gemm(Trans::kYes, Trans::kNo, mb, n, bi, alpha, &at(a, lda, 0, bi),
-               lda, b, ldb, 1.0, &at(b, ldb, bi, 0), ldb);
-      } else if (upper && bi + mb < m) {
-        const index_t r0 = bi + mb;
-        if (trans == Trans::kNo)
-          gemm(Trans::kNo, Trans::kNo, mb, n, m - r0, alpha,
-               &at(a, lda, bi, r0), lda, &at(b, ldb, r0, 0), ldb, 1.0,
-               &at(b, ldb, bi, 0), ldb);
-        else
-          gemm(Trans::kYes, Trans::kNo, mb, n, m - r0, alpha,
-               &at(a, lda, r0, bi), lda, &at(b, ldb, r0, 0), ldb, 1.0,
-               &at(b, ldb, bi, 0), ldb);
-      }
-    }
-  } else {
-    ScratchLease copy(static_cast<std::size_t>(m) * static_cast<std::size_t>(nbk),
-                      Scratch::kLevel3TmpB);
-    // Column blocks: effective-upper columns read columns to their left
-    // (process right-to-left), effective-lower the reverse.
-    const index_t nblk = (n + nbk - 1) / nbk;
-    for (index_t step = 0; step < nblk; ++step) {
-      const index_t bj = (upper ? nblk - 1 - step : step) * nbk;
-      const index_t jb = std::min(nbk, n - bj);
-      for (index_t jj = 0; jj < jb; ++jj)
-        for (index_t i = 0; i < m; ++i)
-          copy.data()[jj * m + i] = at(b, ldb, i, bj + jj);
-      for (index_t jj = 0; jj < jb; ++jj)
-        for (index_t ii = 0; ii < jb; ++ii)
-          diag.data()[jj * jb + ii] =
-              tri_at(a, lda, uplo, trans, bj + ii, bj + jj);
-      gemm(Trans::kNo, Trans::kNo, m, jb, jb, alpha, copy.data(), m,
-           diag.data(), jb, 0.0, &at(b, ldb, 0, bj), ldb);
-      if (upper && bj > 0) {
-        if (trans == Trans::kNo)
-          gemm(Trans::kNo, Trans::kNo, m, jb, bj, alpha, b, ldb,
-               &at(a, lda, 0, bj), lda, 1.0, &at(b, ldb, 0, bj), ldb);
-        else
-          gemm(Trans::kNo, Trans::kYes, m, jb, bj, alpha, b, ldb,
-               &at(a, lda, bj, 0), lda, 1.0, &at(b, ldb, 0, bj), ldb);
-      } else if (!upper && bj + jb < n) {
-        const index_t p0 = bj + jb;
-        if (trans == Trans::kNo)
-          gemm(Trans::kNo, Trans::kNo, m, jb, n - p0, alpha,
-               &at(b, ldb, 0, p0), ldb, &at(a, lda, p0, bj), lda, 1.0,
-               &at(b, ldb, 0, bj), ldb);
-        else
-          gemm(Trans::kNo, Trans::kYes, m, jb, n - p0, alpha,
-               &at(b, ldb, 0, p0), ldb, &at(a, lda, bj, p0), lda, 1.0,
-               &at(b, ldb, 0, bj), ldb);
-      }
-    }
-  }
+  const index_t ka = side == Side::kLeft ? m : n;
+  level3_trmm(level3_config(m, n, ka, alpha), side, uplo, trans, m, n, alpha,
+              a, lda, b, ldb);
 }
 
 void Blas::trsm(Side side, Uplo uplo, Trans trans, index_t m, index_t n,
                 double alpha, const double* a, index_t lda, double* b,
                 index_t ldb) {
-  if (m <= 0 || n <= 0) return;
-  if (alpha == 0.0) {  // netlib dtrsm: B := 0, A not read
-    for (index_t j = 0; j < n; ++j) beta_scale(&at(b, ldb, 0, j), m, 0.0);
-    return;
-  }
-  // Fold alpha into B once; the substitutions below then solve op(A)X = B.
-  if (alpha != 1.0)
-    for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < m; ++i) at(b, ldb, i, j) *= alpha;
-
-  const bool upper = effective_upper(uplo, trans);
-  const index_t nbk = level3_block();
-  if (side == Side::kLeft) {
-    // Blocked substitution: effective-lower runs forward, effective-upper
-    // backward. Panel updates from already-solved blocks go through GEMM;
-    // the in-block diagonal solve is deliberately plain scalar code.
-    const index_t nblk = (m + nbk - 1) / nbk;
-    for (index_t step = 0; step < nblk; ++step) {
-      const index_t bi = (upper ? nblk - 1 - step : step) * nbk;
-      const index_t mb = std::min(nbk, m - bi);
-      if (!upper && bi > 0) {
-        // B_bi -= op(A)(bi, 0:bi) * X(0:bi, :) — strictly inside the
-        // effective triangle, so the coefficient panel is dense stored data.
-        if (trans == Trans::kNo)
-          gemm(Trans::kNo, Trans::kNo, mb, n, bi, -1.0, &at(a, lda, bi, 0),
-               lda, b, ldb, 1.0, &at(b, ldb, bi, 0), ldb);
-        else
-          gemm(Trans::kYes, Trans::kNo, mb, n, bi, -1.0, &at(a, lda, 0, bi),
-               lda, b, ldb, 1.0, &at(b, ldb, bi, 0), ldb);
-      } else if (upper && bi + mb < m) {
-        const index_t r0 = bi + mb;
-        if (trans == Trans::kNo)
-          gemm(Trans::kNo, Trans::kNo, mb, n, m - r0, -1.0,
-               &at(a, lda, bi, r0), lda, &at(b, ldb, r0, 0), ldb, 1.0,
-               &at(b, ldb, bi, 0), ldb);
-        else
-          gemm(Trans::kYes, Trans::kNo, mb, n, m - r0, -1.0,
-               &at(a, lda, r0, bi), lda, &at(b, ldb, r0, 0), ldb, 1.0,
-               &at(b, ldb, bi, 0), ldb);
-      }
-      for (index_t j = 0; j < n; ++j) {
-        for (index_t s = 0; s < mb; ++s) {
-          const index_t ii = upper ? mb - 1 - s : s;
-          double acc = at(b, ldb, bi + ii, j);
-          const index_t p0 = upper ? ii + 1 : 0;
-          const index_t p1 = upper ? mb : ii;
-          for (index_t p = p0; p < p1; ++p)
-            acc -= op_at(a, lda, trans, bi + ii, bi + p) * at(b, ldb, bi + p, j);
-          const double piv = op_at(a, lda, trans, bi + ii, bi + ii);
-          check_pivot(piv);
-          at(b, ldb, bi + ii, j) = acc / piv;
-        }
-      }
-    }
-  } else {
-    // X * op(A) = B: solve column blocks in dependency order (effective-
-    // upper forward, effective-lower backward), trailing updates via GEMM
-    // with the already-solved columns of B as the left operand.
-    const index_t nblk = (n + nbk - 1) / nbk;
-    for (index_t step = 0; step < nblk; ++step) {
-      const index_t bj = (upper ? step : nblk - 1 - step) * nbk;
-      const index_t jb = std::min(nbk, n - bj);
-      if (upper && bj > 0) {
-        if (trans == Trans::kNo)
-          gemm(Trans::kNo, Trans::kNo, m, jb, bj, -1.0, b, ldb,
-               &at(a, lda, 0, bj), lda, 1.0, &at(b, ldb, 0, bj), ldb);
-        else
-          gemm(Trans::kNo, Trans::kYes, m, jb, bj, -1.0, b, ldb,
-               &at(a, lda, bj, 0), lda, 1.0, &at(b, ldb, 0, bj), ldb);
-      } else if (!upper && bj + jb < n) {
-        const index_t p0 = bj + jb;
-        if (trans == Trans::kNo)
-          gemm(Trans::kNo, Trans::kNo, m, jb, n - p0, -1.0,
-               &at(b, ldb, 0, p0), ldb, &at(a, lda, p0, bj), lda, 1.0,
-               &at(b, ldb, 0, bj), ldb);
-        else
-          gemm(Trans::kNo, Trans::kYes, m, jb, n - p0, -1.0,
-               &at(b, ldb, 0, p0), ldb, &at(a, lda, bj, p0), lda, 1.0,
-               &at(b, ldb, 0, bj), ldb);
-      }
-      for (index_t s = 0; s < jb; ++s) {
-        const index_t jj = upper ? s : jb - 1 - s;
-        const double piv = op_at(a, lda, trans, bj + jj, bj + jj);
-        check_pivot(piv);
-        const index_t p0 = upper ? 0 : jj + 1;
-        const index_t p1 = upper ? jj : jb;
-        for (index_t i = 0; i < m; ++i) {
-          double acc = at(b, ldb, i, bj + jj);
-          for (index_t p = p0; p < p1; ++p)
-            acc -= at(b, ldb, i, bj + p) *
-                   op_at(a, lda, trans, bj + p, bj + jj);
-          at(b, ldb, i, bj + jj) = acc / piv;
-        }
-      }
-    }
-  }
+  const index_t ka = side == Side::kLeft ? m : n;
+  level3_trsm(level3_config(m, n, ka, alpha), side, uplo, trans, m, n, alpha,
+              a, lda, b, ldb);
 }
 
 }  // namespace augem::blas

@@ -1,18 +1,23 @@
 #pragma once
 // The BLAS library interface every implementation in this repository
 // satisfies: the AUGEM library over generated kernels
-// (runtime/runtime_blas.hpp) and the three simulated comparators standing
-// in for the paper's MKL/ACML, ATLAS and GotoBLAS (DESIGN.md §2).
+// (runtime/runtime_blas.hpp), the three simulated comparators standing in
+// for the paper's MKL/ACML, ATLAS and GotoBLAS, and the scalar refblas
+// (DESIGN.md §2).
 //
-// Implementations provide the four primitive kernels the paper generates
-// (GEMM, GEMV, AXPY, DOT). The six higher-level routines of the paper's
-// Table 6 (SYMM, SYRK, SYR2K, TRMM, TRSM, GER) have default implementations
-// here that cast their bulk computation onto those primitives — exactly the
-// structure the paper's §4 describes (citing Goto & van de Geijn [13]).
+// A library supplies a GEMM *block kernel* with its threading context
+// (gemm_plan) and the Level-1/2 primitives (GEMV, AXPY, DOT, SCAL). GEMM
+// and the five Level-3 routines of the paper's Table 6 (SYMM, SYRK, SYR2K,
+// TRMM, TRSM) are implemented once, here: GEMM through the blocked driver
+// (blas/driver.hpp), the Level-3 routines through the prepacked-panel
+// engine (blas/level3.hpp). That is the structure of the paper's §4
+// (citing Goto & van de Geijn [13]): the routine algorithm is shared and
+// only the kernel differs. GER and GEMV^T cast onto AXPY and DOT.
 
 #include <memory>
 #include <string>
 
+#include "blas/level3.hpp"
 #include "blas/types.hpp"
 
 namespace augem::blas {
@@ -24,13 +29,14 @@ class Blas {
   /// Implementation name shown in benchmark output ("AUGEM", "vendorsim"…).
   virtual std::string name() const = 0;
 
-  // ---- the four generated/primitive kernels --------------------------------
+  // ---- GEMM and the Level-1/2 primitives -----------------------------------
 
-  /// C(m×n) = alpha * op(A) * op(B) + beta * C.
-  virtual void gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
-                    double alpha, const double* a, index_t lda,
-                    const double* b, index_t ldb, double beta, double* c,
-                    index_t ldc) = 0;
+  /// C(m×n) = alpha * op(A) * op(B) + beta * C: the blocked driver on the
+  /// library's gemm_plan. netlib semantics: beta == 0 overwrites; alpha ==
+  /// 0 or k == 0 is the beta update alone, with A and B unread.
+  void gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k, double alpha,
+            const double* a, index_t lda, const double* b, index_t ldb,
+            double beta, double* c, index_t ldc);
 
   /// Batch-strided GEMM with optional fused epilogue, over `batch`
   /// same-shaped instances:
@@ -76,51 +82,51 @@ class Blas {
   virtual void gemv_t(index_t m, index_t n, double alpha, const double* a,
                       index_t lda, const double* x, double beta, double* y);
 
-  // ---- Table 6 routines, cast onto the primitives --------------------------
+  // ---- Table 6 routines ----------------------------------------------------
 
   /// A(m×n) += alpha * x * y^T — one AXPY per column.
   virtual void ger(index_t m, index_t n, double alpha, const double* x,
                    const double* y, double* a, index_t lda);
 
-  /// C = alpha*op-side(A_sym, B) + beta*C with A symmetric (m×m on the
-  /// left, n×n on the right), stored in triangle `uplo`: the symmetric
-  /// operand is expanded blockwise and the bulk runs through GEMM. netlib
+  // The five Level-3 routines run the prepacked-panel engine
+  // (blas/level3.hpp) on one gemm_plan for the routine's bulk GEMM shape,
+  // with the decomposition block set by set_level3_block. A call that
+  // multiplies nothing (empty extents, alpha == 0, k == 0) makes no plan.
+
+  /// C = alpha*A_sym*B + beta*C (kLeft, A m×m) or alpha*B*A_sym + beta*C
+  /// (kRight, A n×n), A symmetric, stored in triangle `uplo`. netlib
   /// semantics: beta == 0 overwrites, alpha == 0 reduces to the beta
   /// update with A and B unread.
-  virtual void symm(Side side, Uplo uplo, index_t m, index_t n, double alpha,
-                    const double* a, index_t lda, const double* b, index_t ldb,
-                    double beta, double* c, index_t ldc);
+  void symm(Side side, Uplo uplo, index_t m, index_t n, double alpha,
+            const double* a, index_t lda, const double* b, index_t ldb,
+            double beta, double* c, index_t ldc);
 
-  /// C(n×n, triangle `uplo`) = alpha*op(A)*op(A)^T + beta*C — block panels
-  /// through GEMM; op(A) is n×k.
-  virtual void syrk(Uplo uplo, Trans trans, index_t n, index_t k, double alpha,
-                    const double* a, index_t lda, double beta, double* c,
-                    index_t ldc);
+  /// C(n×n, triangle `uplo`) = alpha*op(A)*op(A)^T + beta*C; op(A) is n×k.
+  void syrk(Uplo uplo, Trans trans, index_t n, index_t k, double alpha,
+            const double* a, index_t lda, double beta, double* c, index_t ldc);
 
   /// C(n×n, triangle `uplo`) = alpha*(op(A)*op(B)^T + op(B)*op(A)^T) +
-  /// beta*C — two GEMM sweeps per panel.
-  virtual void syr2k(Uplo uplo, Trans trans, index_t n, index_t k,
-                     double alpha, const double* a, index_t lda,
-                     const double* b, index_t ldb, double beta, double* c,
-                     index_t ldc);
+  /// beta*C.
+  void syr2k(Uplo uplo, Trans trans, index_t n, index_t k, double alpha,
+             const double* a, index_t lda, const double* b, index_t ldb,
+             double beta, double* c, index_t ldc);
 
   /// B = alpha*op(A)*B (kLeft) or alpha*B*op(A) (kRight), A triangular
-  /// (non-unit diagonal) stored in triangle `uplo`: block panels via GEMM
-  /// plus small dense-expanded triangular block multiplies. alpha == 0
-  /// zeroes B without reading A (netlib dtrmm).
-  virtual void trmm(Side side, Uplo uplo, Trans trans, index_t m, index_t n,
-                    double alpha, const double* a, index_t lda, double* b,
-                    index_t ldb);
+  /// (non-unit diagonal) stored in triangle `uplo`. alpha == 0 zeroes B
+  /// without reading A (netlib dtrmm).
+  void trmm(Side side, Uplo uplo, Trans trans, index_t m, index_t n,
+            double alpha, const double* a, index_t lda, double* b,
+            index_t ldb);
 
   /// Solves op(A)*X = alpha*B (kLeft) or X*op(A) = alpha*B (kRight) in
-  /// place in B; A triangular, non-unit diagonal, triangle `uplo`. Blocked
-  /// substitution: the panel update runs through GEMM; the diagonal solve
-  /// is plain scalar code — reproducing the paper's observed TRSM weakness
-  /// (§5: "the first step cannot be simply derived from the GEMM kernel").
-  /// Zero and non-finite pivots throw (docs/correctness.md).
-  virtual void trsm(Side side, Uplo uplo, Trans trans, index_t m, index_t n,
-                    double alpha, const double* a, index_t lda, double* b,
-                    index_t ldb);
+  /// place in B; A triangular, non-unit diagonal, triangle `uplo`. The
+  /// trailing updates run on the block kernel; the diagonal solve is plain
+  /// scalar code, reproducing the paper's observed TRSM weakness (§5: "the
+  /// first step cannot be simply derived from the GEMM kernel"). Zero and
+  /// non-finite pivots throw (docs/correctness.md).
+  void trsm(Side side, Uplo uplo, Trans trans, index_t m, index_t n,
+            double alpha, const double* a, index_t lda, double* b,
+            index_t ldb);
 
   /// Overrides the Level-3 decomposition block (default 128). A testing and
   /// tuning hook: small blocks force multi-block decompositions at fuzz-
@@ -128,13 +134,20 @@ class Blas {
   void set_level3_block(index_t nb) { l3_block_ = nb < 1 ? 1 : nb; }
 
  protected:
-  /// Default block size of the Level-3 algorithms.
-  static constexpr index_t kL3Block = 128;
-
-  index_t level3_block() const { return l3_block_; }
+  /// The block kernel and threading context for an (m, n, k) GEMM: a whole
+  /// gemm call, or the bulk panel shape of a Level-3 routine. The kernel
+  /// owns whatever keeps its code mapped, so the plan stays runnable for
+  /// the whole call.
+  virtual GemmPlan gemm_plan(index_t m, index_t n, index_t k) = 0;
 
  private:
-  index_t l3_block_ = kL3Block;
+  /// gemm_plan(m, n, k), or an empty plan when the call multiplies nothing.
+  GemmPlan plan_if_multiplying(index_t m, index_t n, index_t k, double alpha);
+
+  /// The Level-3 engine configuration over plan_if_multiplying.
+  Level3Config level3_config(index_t m, index_t n, index_t k, double alpha);
+
+  index_t l3_block_ = 128;
 };
 
 }  // namespace augem::blas

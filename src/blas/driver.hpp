@@ -1,9 +1,9 @@
 #pragma once
-// The Goto block-partitioned GEMM driver (paper §4.1). Shared by the
-// AUGEM-backed library and the simulated comparators: each supplies a
-// *block kernel* computing C(mc×nc) += PA(mc×kc) * PB(kc×nc) over packed
-// panels; the driver owns the cache blocking, packing, beta handling and —
-// through a GemmContext — the multi-threaded macro-loop decomposition.
+// The Goto block-partitioned GEMM driver (paper §4.1). Shared by every
+// library (blas/blas.hpp): each supplies a *block kernel* computing
+// C(mc×nc) += PA(mc×kc) * PB(kc×nc) over packed panels; the driver owns the
+// cache blocking, packing, beta handling and — through a GemmContext — the
+// multi-threaded macro-loop decomposition.
 
 #include <cstdint>
 #include <functional>
@@ -56,6 +56,15 @@ struct GemmContext {
   index_t jr_granule = 8;     ///< jr split alignment, ≥ the kernel tile width
 };
 
+/// What a library runs a GEMM with (blas::Blas::gemm_plan): the threading
+/// context and the block kernel. The kernel owns whatever keeps its code
+/// mapped — the runtime's captures the resolved module — so a plan stays
+/// runnable for as long as it lives.
+struct GemmPlan {
+  GemmContext ctx;
+  BlockKernel kernel;
+};
+
 /// Shape-aware blocking for the dispatching runtime (docs/runtime.md):
 /// starts from default_block_sizes(arch) and clamps each block to the
 /// problem extent (rounded up to the register-tile granule), so a small or
@@ -91,7 +100,7 @@ void blocked_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
                   index_t ldb, double beta, double* c, index_t ldc,
                   const BlockSizes& sizes, const BlockKernel& kernel);
 
-// ---- prepacked panels for the Level-3 casting engine ----------------------
+// ---- prepacked panels for the Level-3 engine ------------------------------
 //
 // The Level-3 routines (blas/level3.hpp) decompose into many GEMM panels
 // that share one operand: SYRK consumes the same op(A) panel for the

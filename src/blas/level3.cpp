@@ -100,6 +100,14 @@ struct RankUpdatePanel {
   Trans trans;
 };
 
+/// jr chunk width of the SYRK/SYR2K panels. C's column blocks must start
+/// on chunk boundaries; splitting each block into default_jr_width chunks
+/// (when they divide it) lets one column block's GEMMs spread over the pool.
+index_t rank_panel_width(const Level3Config& cfg) {
+  const index_t jw = default_jr_width(cfg.block, cfg.ctx.jr_granule);
+  return cfg.block % jw == 0 ? jw : cfg.block;
+}
+
 void pack_rank_panel(PackedB& pb, const RankUpdatePanel& p,
                      const Level3Config& cfg) {
   pb.pack_rows(
@@ -171,8 +179,7 @@ void level3_syrk(const Level3Config& cfg, Uplo uplo, Trans trans, index_t n,
   const index_t kc = std::min(cfg.ctx.sizes.kc, k);
   ScratchLease storage(PackedB::storage_doubles(k, n, kc),
                        Scratch::kLevel3PackB);
-  // jw = block so C's column blocks land on jr-chunk boundaries.
-  PackedB panel(k, n, kc, cfg.block, storage.data());
+  PackedB panel(k, n, kc, rank_panel_width(cfg), storage.data());
   const RankUpdatePanel opa{a, lda, trans};
   pack_rank_panel(panel, opa, cfg);
   rank_update_sweep(cfg, uplo, n, k, alpha, opa, panel, nullptr, nullptr, c,
@@ -192,8 +199,9 @@ void level3_syr2k(const Level3Config& cfg, Uplo uplo, Trans trans, index_t n,
                          Scratch::kLevel3PackB);
   ScratchLease storage_a(PackedB::storage_doubles(k, n, kc),
                          Scratch::kLevel3PackB2);
-  PackedB panel_bt(k, n, kc, cfg.block, storage_b.data());
-  PackedB panel_at(k, n, kc, cfg.block, storage_a.data());
+  const index_t jw = rank_panel_width(cfg);
+  PackedB panel_bt(k, n, kc, jw, storage_b.data());
+  PackedB panel_at(k, n, kc, jw, storage_a.data());
   const RankUpdatePanel opa{a, lda, trans};
   const RankUpdatePanel opb{b, ldb, trans};
   // C = alpha*(op(A)*op(B)^T + op(B)*op(A)^T) + beta*C: op(A) rows pair

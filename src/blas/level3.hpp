@@ -1,18 +1,20 @@
 #pragma once
-// First-class Level-3 casting engine (paper §4, Table 6): SYMM / SYRK /
-// SYR2K / TRMM / TRSM decomposed onto ONE block kernel through the
-// prepacked-panel driver (blas/driver.hpp).
+// The Level-3 engine (paper §4, Table 6): SYMM / SYRK / SYR2K / TRMM /
+// TRSM decomposed onto ONE block kernel through the prepacked-panel driver
+// (blas/driver.hpp). Every blas::Blas runs its Level-3 routines here, on
+// the block kernel of its gemm_plan (blas/blas.cpp).
 //
-// Unlike the Blas base-class casting — which re-enters the virtual gemm and
-// therefore repacks its operands on every panel call — this engine packs
-// each shared operand exactly once into the kernel's panel layout and
-// reuses the packed chunks across the whole decomposition:
+// The engine packs each shared operand exactly once into the kernel's
+// panel layout and reuses the packed chunks across the whole
+// decomposition:
 //   * SYMM packs B (left) / the expanded symmetric A (right) once; every
 //     block row of C consumes the same chunks.
 //   * SYRK/SYR2K pack op(A)^T (and op(B)^T) once; the diagonal-block
 //     temporary and the off-diagonal panel update share each chunk.
 //   * TRMM packs the dense operand once (reading B before the in-place
-//     overwrite starts) and masks the triangle in the A-packer.
+//     overwrite starts) and masks the triangle in the A-packer, so it
+//     multiplies the whole masked operand — about twice the triangle's
+//     flops.
 //   * TRSM packs each solved block of X once, immediately after its
 //     diagonal solve; every later trailing update re-reads those chunks.
 // Reuse is measured (Level3Stats) so tests can assert the sharing actually

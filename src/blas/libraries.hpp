@@ -1,8 +1,11 @@
 #pragma once
 // Factory functions for the comparator BLAS libraries of the evaluation
-// (DESIGN.md §2 maps each to the library it stands in for):
+// (DESIGN.md §2 maps each to the library it stands in for). Each supplies
+// a block kernel; GEMM and the Level-3 routines run the shared algorithms
+// of blas/blas.hpp on it:
 //
-//   refblas   — naive loops; the "simple C" floor
+//   refblas   — a scalar block kernel on one thread, naive Level-1/2
+//               loops; the "simple C" floor
 //   gotosim   — Goto blocking + 128-bit SSE2/SSE3 kernels, no AVX/FMA:
 //               stands in for GotoBLAS2 1.13, whose losses the paper
 //               attributes precisely to the missing AVX/FMA support

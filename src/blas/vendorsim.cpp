@@ -60,13 +60,6 @@ class VendorSim final : public Blas {
 
   std::string name() const override { return "vendorsim"; }
 
-  void gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k, double alpha,
-            const double* a, index_t lda, const double* b, index_t ldb,
-            double beta, double* c, index_t ldc) override {
-    blocked_gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx_,
-                 block_kernel_avx2);
-  }
-
   void gemv(index_t m, index_t n, double alpha, const double* a, index_t lda,
             const double* x, double beta, double* y) override {
     beta_scale(y, m, beta);
@@ -136,6 +129,10 @@ class VendorSim final : public Blas {
   }
 
  private:
+  GemmPlan gemm_plan(index_t, index_t, index_t) override {
+    return {ctx_, block_kernel_avx2};
+  }
+
   GemmContext ctx_;
 };
 

@@ -951,7 +951,7 @@ const char* l3_name(L3 r) {
   return "?";
 }
 
-/// Instance for the Level-3 casting paths (SYMM/SYRK/SYR2K/TRMM/TRSM).
+/// Instance for the Level-3 paths (SYMM/SYRK/SYR2K/TRMM/TRSM).
 /// The unstored triangle of every symmetric/triangular A is NaN-filled, so
 /// a single out-of-mask read in any decomposition shows up as a NaN
 /// mismatch against the oracle. Alpha stays finite and, when the data is
@@ -1158,7 +1158,7 @@ struct L3Data {
         break;
       case L3::kTrmm:
         // A only: netlib's loop bounds skip the structural zeros of the
-        // triangle, while the dense casting multiplies by them — a NaN/Inf
+        // triangle, while the masked engine multiplies by them — a NaN/Inf
         // in B meets 0·NaN = NaN there. Poison in the *stored* triangle of
         // A participates in exactly the same products on both sides.
         if (exact_alpha) poison(a, rng, in.pdata);
@@ -1346,14 +1346,14 @@ struct NamedBlas {
 class BatchOracle final : public blas::Blas {
  public:
   std::string name() const override { return "batch-oracle"; }
-  void gemm(Trans, Trans, index_t, index_t, index_t, double, const double*,
-            index_t, const double*, index_t, double, double*,
-            index_t) override {}
   void gemv(index_t, index_t, double, const double*, index_t, const double*,
             double, double*) override {}
   void axpy(index_t, double, const double*, double*) override {}
   double dot(index_t, const double*, const double*) override { return 0.0; }
   void scal(index_t, double, double*) override {}
+
+ private:
+  blas::GemmPlan gemm_plan(index_t, index_t, index_t) override { return {}; }
 };
 
 struct RunCtx {
@@ -1771,12 +1771,12 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     }
 
     // ---- Level-3 routines (SYMM/SYRK/SYR2K/TRMM/TRSM) --------------------
-    // Gated on GEMM configs like the batch path: the casting engines ride
-    // on the same generated block kernels, and 1/5 of all cases keeps the
-    // JIT build count bounded while covering every routine × variant. Three
-    // families per case: the library casting of every Blas implementation,
-    // the RuntimeBlas dispatch path, and the prepacked-panel engine (serial
-    // vs threaded, bit-compared).
+    // Gated on GEMM configs like the batch path: the engine rides on the
+    // same generated block kernels, and 1/5 of all cases keeps the JIT
+    // build count bounded while covering every routine × variant. Three
+    // families per case: every Blas implementation, the RuntimeBlas
+    // dispatch path, and the engine on the case's kernel (serial vs
+    // threaded, bit-compared).
     if (opts.run_level3 && rt.cfg.op == KernelKind::kGemm) {
       const std::string routine = l3_name(lin.routine);
       auto sweep_l3 = [&](const std::string& pname,

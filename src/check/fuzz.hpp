@@ -20,11 +20,12 @@
 //     loop in `blas::Blas` — including NaN/Inf propagation through the
 //     MAXPD-semantics ReLU (relu(NaN) == 0),
 //   * the Level-3 routines (SYMM/SYRK/SYR2K/TRMM/TRSM, Side × Uplo × Trans)
-//     three ways: every library's GEMM-casting vs the netlib oracle, the
-//     prepacked-panel engine serial vs threaded (which must be
-//     bit-identical) vs the oracle, and the RuntimeBlas dispatch path —
-//     with NaN-filled unstored triangles proving the masked accessors never
-//     read outside the stored triangle.
+//     on the one Level-3 engine: through every library (each runs the
+//     engine on its own block kernel) and the RuntimeBlas dispatch path vs
+//     the netlib oracle, and directly on the case's generated block kernel,
+//     serial vs threaded (which must be bit-identical) vs the oracle — with
+//     NaN-filled unstored triangles proving the masked accessors never read
+//     outside the stored triangle.
 //
 // Every generated kernel additionally passes through the static machine-code
 // checks (`analysis::analyze`, error findings only). All numeric paths are
@@ -54,9 +55,9 @@ struct FuzzOptions {
   bool run_blas = true;     ///< BLAS-level wrappers vs blas::ref
   bool run_batch = true;    ///< batched small-GEMM fast path vs the
                             ///< reference epilogue oracle (JIT hosts only)
-  bool run_level3 = true;   ///< SYMM/SYRK/SYR2K/TRMM/TRSM: library casting,
-                            ///< prepacked engine (serial ≡ threaded), and
-                            ///< RuntimeBlas dispatch vs blas::ref
+  bool run_level3 = true;   ///< SYMM/SYRK/SYR2K/TRMM/TRSM: every library,
+                            ///< RuntimeBlas dispatch, and the engine on the
+                            ///< case's kernel (serial ≡ threaded) vs blas::ref
   bool run_semantics = true;  ///< translation validation (the symbolic
                               ///< equivalence proof) on every generated
                               ///< kernel, alongside the bounds proofs

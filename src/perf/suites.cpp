@@ -130,11 +130,11 @@ BenchReport run_batch_small(const SuiteOptions& options,
   return report;
 }
 
-/// The Level-3 casting engine (blas/level3.hpp): SYMM, SYRK and TRSM
+/// The Level-3 engine (blas/level3.hpp): SYMM, SYRK and TRSM
 /// through the prepacked-panel driver on the generated block kernel, at
 /// dense square sizes. Pessimize mode pairs the scalar GEMM kernel with a
 /// serial context — the two optimizations this suite guards (SIMD block
-/// kernels under the casting, parallel panel GEMMs) — so a normal-config
+/// kernels under the engine, parallel panel GEMMs) — so a normal-config
 /// baseline vs a pessimized run must gate as regressed.
 BenchReport run_level3(const SuiteOptions& options, const BenchRunner& runner) {
   KernelSet set = make_suite_kernels(options.pessimize);

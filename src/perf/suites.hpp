@@ -29,7 +29,7 @@ struct SuiteOptions {
 /// packed-block / in-cache problems), "level1" (the memory-bound
 /// streaming kernels at figure sizes), "batch_small" (the batched
 /// small-GEMM fast path with amortized dispatch and fused epilogues), and
-/// "level3" (SYMM/SYRK/TRSM through the prepacked-panel casting engine).
+/// "level3" (SYMM/SYRK/TRSM through the prepacked-panel Level-3 engine).
 std::vector<std::string> suite_names();
 bool is_suite_name(const std::string& name);
 

@@ -3,13 +3,13 @@
 //
 // Resolving a kernel costs a full generate → verify → assemble → dlopen
 // cycle (tens of milliseconds); a BLAS entry point must pay it at most
-// once per key per process. This cache is a sharded map from KernelKey to
-// the compiled artifact:
+// once per key per process. This cache is one map from KernelKey to the
+// compiled artifact, with one LRU list and one mutex:
 //
-//  * one mutex per shard, so concurrent GemmContext threads resolving
-//    *different* kernels never contend;
+//  * the mutex covers only the map and list updates — a hit is a lookup
+//    and a list splice, and builds run outside it;
 //  * per-key build deduplication — the first thread to miss installs a
-//    shared_future and builds outside the shard lock, every concurrent
+//    shared_future and builds outside the lock, every concurrent
 //    requester of the same key waits on that future, so exactly one
 //    assembly happens per key no matter the thread count;
 //  * bounded with LRU eviction. Evicted entries stay alive for as long as
@@ -64,10 +64,8 @@ class CodeCache {
   using KernelPtr = std::shared_ptr<const CachedKernel>;
   using Builder = std::function<KernelPtr()>;
 
-  /// `capacity` bounds the number of resident modules across all shards;
-  /// `shards` fixes the lock granularity (tests use 1 shard to make the
-  /// global LRU order deterministic).
-  explicit CodeCache(std::size_t capacity = 32, std::size_t shards = 8);
+  /// `capacity` bounds the number of resident modules.
+  explicit CodeCache(std::size_t capacity = 32);
 
   /// Returns the cached kernel for `key`, building it with `builder` on a
   /// miss. Concurrent callers with the same key share one build; a builder
@@ -83,30 +81,23 @@ class CodeCache {
   std::size_t capacity() const { return capacity_; }
   void clear();
 
-  /// Keys currently resident, most recently used first within each shard
-  /// (exposed for tests and the CLI).
+  /// Keys currently resident, most recently used first (exposed for tests
+  /// and the CLI).
   std::vector<std::string> resident_keys() const;
 
  private:
-  struct Shard {
-    mutable std::mutex mutex;
-    /// LRU list, most recent at front; the map stores iterators into it.
-    std::list<std::string> lru;
-    struct Entry {
-      std::shared_future<KernelPtr> future;
-      std::list<std::string>::iterator lru_pos;
-      std::uint64_t id = 0;  ///< failure cleanup erases only its own entry
-    };
-    std::unordered_map<std::string, Entry> map;
-    CacheStats stats;
+  struct Entry {
+    std::shared_future<KernelPtr> future;
+    std::list<std::string>::iterator lru_pos;
+    std::uint64_t id = 0;  ///< failure cleanup erases only its own entry
   };
 
-  Shard& shard_for(const std::string& key);
-  const Shard& shard_for(const std::string& key) const;
-  std::size_t shard_capacity() const;
-
   std::size_t capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  mutable std::mutex mutex_;
+  /// LRU list, most recent at front; the map stores iterators into it.
+  std::list<std::string> lru_;
+  std::unordered_map<std::string, Entry> map_;
+  CacheStats stats_;
 };
 
 }  // namespace augem::runtime

@@ -90,7 +90,7 @@ std::shared_ptr<CachedKernel> build_variant(const KernelKey& key,
 KernelRuntime::KernelRuntime(RuntimeConfig config)
     : config_(std::move(config)),
       isa_(select_dispatch_isa(host_arch())),
-      cache_(config_.code_cache_capacity, config_.code_cache_shards) {
+      cache_(config_.code_cache_capacity) {
   if (config_.use_persistent)
     db_ = std::make_unique<TuningDatabase>(config_.cache_dir);
 }

@@ -45,9 +45,8 @@ struct RuntimeConfig {
   /// the per-ISA default configuration without tuning (false — cheap
   /// cold start, e.g. for short-lived tools).
   bool tune_on_miss = true;
-  /// Bound and granularity of the in-memory code cache.
+  /// Bound of the in-memory code cache (resident kernels).
   std::size_t code_cache_capacity = 32;
-  std::size_t code_cache_shards = 8;
   /// Overrides the per-shape-class tuning workload (tests use a tiny one;
   /// unset picks tune_workload_for(kind, shape)).
   std::optional<tuning::TuneWorkload> workload_override;

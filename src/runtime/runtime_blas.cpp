@@ -4,7 +4,6 @@
 
 #include "augem/augem_blas.hpp"
 #include "blas/driver.hpp"
-#include "blas/level3.hpp"
 #include "support/threadpool.hpp"
 
 namespace augem::runtime {
@@ -21,25 +20,6 @@ class RuntimeBlas final : public blas::Blas {
   explicit RuntimeBlas(KernelRuntime& rt) : rt_(rt) {}
 
   std::string name() const override { return "AUGEM-runtime"; }
-
-  void gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k, double alpha,
-            const double* a, index_t lda, const double* b, index_t ldb,
-            double beta, double* c, index_t ldc) override {
-    if (m <= 0 || n <= 0) return;
-    if (k <= 0 || alpha == 0.0) {
-      // Degenerate update: only the beta scaling of C happens; resolving
-      // (possibly tuning) a kernel for it would be absurd.
-      for (index_t j = 0; j < n; ++j) blas::beta_scale(&at(c, ldc, 0, j), m, beta);
-      return;
-    }
-    const auto kernel = rt_.resolve(KernelKind::kGemm,
-                                    classify_gemm_shape(m, n, k));
-    blas::blocked_gemm(
-        ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-        gemm_context_for_tile(m, n, k, kernel->nr),
-        padded_gemm_block_kernel(kernel->fn<KernelSet::GemmFn>(), kernel->mr,
-                                 kernel->nr));
-  }
 
   void gemm_batch_strided(index_t m, index_t n, index_t k, double alpha,
                           const double* a, index_t lda, index_t stride_a,
@@ -113,79 +93,6 @@ class RuntimeBlas final : public blas::Blas {
     });
   }
 
-  // ---- Level-3 casting routines, served through the same dispatch -------
-  //
-  // Each resolves ONE gemm kernel keyed by the routine's bulk-GEMM shape
-  // (the panels all run through that kernel) and hands it to the prepacked
-  // Level-3 engine, so the whole decomposition shares packed panels and the
-  // threaded driver (docs/runtime.md).
-
-  void symm(blas::Side side, blas::Uplo uplo, index_t m, index_t n,
-            double alpha, const double* a, index_t lda, const double* b,
-            index_t ldb, double beta, double* c, index_t ldc) override {
-    if (m <= 0 || n <= 0) return;
-    if (alpha == 0.0) {  // beta update only; no kernel to resolve
-      for (index_t j = 0; j < n; ++j)
-        blas::beta_scale(&at(c, ldc, 0, j), m, beta);
-      return;
-    }
-    const index_t ka = side == blas::Side::kLeft ? m : n;
-    blas::level3_symm(level3_config(m, n, ka), side, uplo, m, n, alpha, a,
-                      lda, b, ldb, beta, c, ldc);
-  }
-
-  void syrk(blas::Uplo uplo, blas::Trans trans, index_t n, index_t k,
-            double alpha, const double* a, index_t lda, double beta, double* c,
-            index_t ldc) override {
-    if (n <= 0) return;
-    if (alpha == 0.0 || k <= 0) {
-      scale_triangle(uplo, n, beta, c, ldc);
-      return;
-    }
-    blas::level3_syrk(level3_config(n, n, k), uplo, trans, n, k, alpha, a,
-                      lda, beta, c, ldc);
-  }
-
-  void syr2k(blas::Uplo uplo, blas::Trans trans, index_t n, index_t k,
-             double alpha, const double* a, index_t lda, const double* b,
-             index_t ldb, double beta, double* c, index_t ldc) override {
-    if (n <= 0) return;
-    if (alpha == 0.0 || k <= 0) {
-      scale_triangle(uplo, n, beta, c, ldc);
-      return;
-    }
-    blas::level3_syr2k(level3_config(n, n, k), uplo, trans, n, k, alpha, a,
-                       lda, b, ldb, beta, c, ldc);
-  }
-
-  void trmm(blas::Side side, blas::Uplo uplo, blas::Trans trans, index_t m,
-            index_t n, double alpha, const double* a, index_t lda, double* b,
-            index_t ldb) override {
-    if (m <= 0 || n <= 0) return;
-    if (alpha == 0.0) {  // B := 0 without reading A or resolving a kernel
-      for (index_t j = 0; j < n; ++j)
-        blas::beta_scale(&at(b, ldb, 0, j), m, 0.0);
-      return;
-    }
-    const index_t ka = side == blas::Side::kLeft ? m : n;
-    blas::level3_trmm(level3_config(m, n, ka), side, uplo, trans, m, n, alpha,
-                      a, lda, b, ldb);
-  }
-
-  void trsm(blas::Side side, blas::Uplo uplo, blas::Trans trans, index_t m,
-            index_t n, double alpha, const double* a, index_t lda, double* b,
-            index_t ldb) override {
-    if (m <= 0 || n <= 0) return;
-    if (alpha == 0.0) {
-      for (index_t j = 0; j < n; ++j)
-        blas::beta_scale(&at(b, ldb, 0, j), m, 0.0);
-      return;
-    }
-    const index_t ka = side == blas::Side::kLeft ? m : n;
-    blas::level3_trsm(level3_config(m, n, ka), side, uplo, trans, m, n, alpha,
-                      a, lda, b, ldb);
-  }
-
   void gemv(index_t m, index_t n, double alpha, const double* a, index_t lda,
             const double* x, double beta, double* y) override {
     if (m <= 0) return;
@@ -255,40 +162,26 @@ class RuntimeBlas final : public blas::Blas {
   /// keeps the zero-fill semantics without resolving one.
   static KernelSet::ScalFn* nullptr_scal() { return nullptr; }
 
-  /// beta_scale over the stored triangle of C (SYRK/SYR2K degenerate path).
-  static void scale_triangle(blas::Uplo uplo, index_t n, double beta,
-                             double* c, index_t ldc) {
-    for (index_t j = 0; j < n; ++j) {
-      if (uplo == blas::Uplo::kLower)
-        blas::beta_scale(&at(c, ldc, j, j), n - j, beta);
-      else
-        blas::beta_scale(&at(c, ldc, 0, j), j + 1, beta);
-    }
-  }
-
-  /// Level-3 engine configuration for a routine whose bulk GEMM panels have
-  /// shape (m, n, k): one kernel resolved through the cache with the
-  /// shape-matched tuning key, wrapped for ragged edges, on the shape-aware
-  /// (and jr-granule-aligned) threading context.
-  blas::Level3Config level3_config(index_t m, index_t n, index_t k) {
-    const auto kernel =
-        rt_.resolve(KernelKind::kGemm, classify_gemm_shape(m, n, k));
-    blas::Level3Config cfg;
-    cfg.ctx = gemm_context_for_tile(m, n, k, kernel->nr);
-    cfg.kernel = padded_gemm_block_kernel(kernel->fn<KernelSet::GemmFn>(),
-                                          kernel->mr, kernel->nr);
-    cfg.block = level3_block();
-    return cfg;
-  }
-
-  /// Shape-aware context with the jr split kept on the resolved kernel's
-  /// column-tile multiple (the bit-exactness condition of the threaded
-  /// driver, see blas/driver.hpp).
-  static blas::GemmContext gemm_context_for_tile(index_t m, index_t n,
-                                                 index_t k, int nr) {
-    blas::GemmContext ctx = blas::gemm_context_for_shape(host_arch(), m, n, k);
-    ctx.jr_granule = std::max<index_t>(8, nr);
-    return ctx;
+  /// One GEMM kernel resolved through the cache for the shape-matched
+  /// tuning key, wrapped for ragged edges, on the shape-aware context with
+  /// the jr split kept on the kernel's column-tile multiple (the
+  /// bit-exactness condition of the threaded driver, see blas/driver.hpp).
+  /// The block kernel holds the resolved module, so an eviction from the
+  /// code cache during the call cannot unmap it.
+  blas::GemmPlan gemm_plan(index_t m, index_t n, index_t k) override {
+    auto kernel = rt_.resolve(KernelKind::kGemm, classify_gemm_shape(m, n, k));
+    blas::GemmPlan plan;
+    plan.ctx = blas::gemm_context_for_shape(host_arch(), m, n, k);
+    plan.ctx.jr_granule = std::max<index_t>(8, kernel->nr);
+    const index_t mr = kernel->mr, nr = kernel->nr;
+    plan.kernel = padded_gemm_block_kernel(
+        [kernel = std::move(kernel)](long mc, long nc, long kc,
+                                     const double* pa, const double* pb,
+                                     double* c, long ldc) {
+          kernel->fn<KernelSet::GemmFn>()(mc, nc, kc, pa, pb, c, ldc);
+        },
+        mr, nr);
+    return plan;
   }
 
   KernelRuntime& rt_;

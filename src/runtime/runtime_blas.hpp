@@ -1,12 +1,12 @@
 #pragma once
-// The dispatching BLAS: blas::Blas entry points (dgemm/dgemv/daxpy/ddot/
-// dscal and the Level-3 defaults on top of them) served by the kernel
-// runtime. Every call classifies its problem shape, resolves the tuned
-// kernel for (host CPU, kind, ISA, shape class) through the code cache /
-// tuning database / tuner pipeline, and runs the blocked driver with
-// shape-aware blocking — so a process's first call pays generation once
-// and every later call (and every later *process* sharing the cache
-// directory) serves resident code.
+// The dispatching BLAS: the blas::Blas whose GEMM block kernel and
+// Level-1/2 kernels (dgemv/daxpy/ddot/dscal) are served by the kernel
+// runtime. Every call classifies its problem shape — for GEMM and the
+// Level-3 routines, the bulk GEMM shape — resolves the tuned kernel for
+// (host CPU, kind, ISA, shape class) through the code cache / tuning
+// database / tuner pipeline, and runs it with shape-aware blocking. So a
+// process's first call pays generation once and every later call (and
+// every later *process* sharing the cache directory) serves resident code.
 
 #include <memory>
 

@@ -11,9 +11,9 @@
 // Buffers are returned uninitialized: callers own the contents and must
 // fully write what they read. Two live uses of the same slot on the same
 // thread would alias — slots are named per call site to prevent that, and
-// code that holds a slot across nested calls (the Level-3 casting routines
-// hold kLevel3Tmp* pointers across virtual gemm calls) takes a ScratchLease
-// so debug builds catch any re-acquisition of a held slot.
+// code that holds a slot across nested calls (the Level-3 engine holds its
+// kLevel3* panels and temporary across the prepacked driver calls) takes a
+// ScratchLease so debug builds catch any re-acquisition of a held slot.
 
 #include <cstddef>
 
@@ -26,8 +26,7 @@ enum class Scratch : int {
   kGemmPadA,      ///< zero-padded edge-tile A copy (augem block kernel)
   kGemmPadB,      ///< zero-padded edge-tile B copy
   kGemmPadC,      ///< zero-padded edge-tile C accumulator
-  kLevel3TmpA,    ///< Level-3 algorithms: diagonal/temporary block
-  kLevel3TmpB,    ///< Level-3 algorithms: second temporary block
+  kLevel3TmpA,    ///< Level-3 engine: diagonal block / B copy temporary
   kLevel3PackB,   ///< Level-3 engine: shared reusable packed panel
   kLevel3PackB2,  ///< Level-3 engine: second reusable packed panel (syr2k)
   kCount
@@ -45,8 +44,8 @@ double* scratch_doubles(std::size_t count, Scratch slot);
 bool scratch_guard_enabled();
 
 /// RAII ownership of a scratch slot for code that keeps the pointer live
-/// across nested calls (e.g. a Level-3 diagonal temporary held across a
-/// virtual gemm). Acquiring a slot that is already leased on this thread is
+/// across nested calls (e.g. a Level-3 diagonal temporary held across the
+/// prepacked driver calls). Acquiring a slot that is already leased on this thread is
 /// a programming error — the nested user would alias or reallocate the
 /// held buffer — and asserts in debug builds.
 class ScratchLease {

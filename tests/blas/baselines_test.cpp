@@ -6,24 +6,14 @@
 #include <memory>
 #include <vector>
 
-#include "blas/libraries.hpp"
+#include "../common/libraries.hpp"
 #include "blas/reference.hpp"
 #include "support/rng.hpp"
 
 namespace augem::blas {
 namespace {
 
-std::unique_ptr<Blas> make_library(const std::string& which) {
-  if (which == "refblas") return make_refblas();
-  if (which == "gotosim") return make_gotosim();
-  if (which == "atlsim") return make_atlsim();
-  return make_vendorsim();
-}
-
-class Baselines : public ::testing::TestWithParam<std::string> {
- protected:
-  std::unique_ptr<Blas> lib_ = make_library(GetParam());
-};
+class Baselines : public augem::testing::LibraryTest {};
 
 TEST_P(Baselines, NameIsStable) { EXPECT_EQ(lib_->name(), GetParam()); }
 

@@ -7,23 +7,15 @@
 #include <memory>
 #include <vector>
 
-#include "blas/libraries.hpp"
+#include "../common/libraries.hpp"
 #include "blas/reference.hpp"
 #include "support/rng.hpp"
 
 namespace augem::blas {
 namespace {
 
-std::unique_ptr<Blas> make_library(const std::string& which) {
-  if (which == "refblas") return make_refblas();
-  if (which == "gotosim") return make_gotosim();
-  if (which == "atlsim") return make_atlsim();
-  return make_vendorsim();
-}
-
-class GemvT : public ::testing::TestWithParam<std::string> {
+class GemvT : public augem::testing::LibraryTest {
  protected:
-  std::unique_ptr<Blas> lib_ = make_library(GetParam());
   Rng rng_{51};
 };
 

@@ -1,4 +1,4 @@
-// The first-class Level-3 casting engine (blas/level3.hpp): every routine ×
+// The Level-3 engine every Blas runs (blas/level3.hpp): every routine ×
 // variant against the scalar reference, bit-identity between the serial and
 // threaded contexts (the decomposition is fixed at pack time), and the
 // measured packed-panel reuse the engine exists for — SYRK's diagonal and

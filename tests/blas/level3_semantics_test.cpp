@@ -1,4 +1,4 @@
-// Regression tests for three Level-3 casting bugs (see docs/correctness.md):
+// Regression tests for three Level-3 bugs (see docs/correctness.md):
 //
 //   * alpha == 0 in SYMM/SYRK/SYR2K used to run the full decomposition and
 //     read A/B — netlib reduces the call to the beta update with the matrix
@@ -10,8 +10,9 @@
 //     (NaN != 0.0 is true) — the solve then silently filled B with NaN.
 //     Non-finite pivots must throw like zero pivots do.
 //
-// Each case runs against every library (the casting lives in the shared
-// base class) and the scalar reference.
+// Each case runs against every library — the Level-3 routines are
+// implemented once in blas::Blas, on each library's block kernel —
+// including RuntimeBlas, and against the scalar reference.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "blas/libraries.hpp"
+#include "../common/libraries.hpp"
 #include "blas/reference.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -31,16 +32,8 @@ namespace {
 
 const double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-std::unique_ptr<Blas> make_library(const std::string& which) {
-  if (which == "refblas") return make_refblas();
-  if (which == "gotosim") return make_gotosim();
-  if (which == "atlsim") return make_atlsim();
-  return make_vendorsim();
-}
-
-class Level3Semantics : public ::testing::TestWithParam<std::string> {
+class Level3Semantics : public augem::testing::LibraryTest {
  protected:
-  std::unique_ptr<Blas> lib_ = make_library(GetParam());
   Rng rng_{404};
 };
 
@@ -203,7 +196,7 @@ TEST_P(Level3Semantics, TrsmStillRejectsZeroPivot) {
 
 INSTANTIATE_TEST_SUITE_P(AllLibraries, Level3Semantics,
                          ::testing::Values("refblas", "gotosim", "atlsim",
-                                           "vendorsim"),
+                                           "vendorsim", "runtime"),
                          [](const auto& info) { return info.param; });
 
 // The scalar reference obeys the same contracts (it is the fuzz oracle).

@@ -1,35 +1,26 @@
-// The Table 6 routines (SYMM/SYRK/SYR2K/TRMM/TRSM/GER) as implemented by
-// the default GEMM-casting algorithms in blas::Blas, checked against the
-// reference implementations — across every library (the defaults call the
-// library's own virtual gemm/axpy) and every operand variant
-// (Side × Uplo × Trans).
+// The Table 6 routines (SYMM/SYRK/SYR2K/TRMM/TRSM/GER) as every library
+// runs them — the shared Level-3 engine on the library's own block kernel
+// (GER on its AXPY) — checked against the reference implementations across
+// every operand variant (Side × Uplo × Trans), including RuntimeBlas.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
-#include "blas/libraries.hpp"
+#include "../common/libraries.hpp"
 #include "blas/reference.hpp"
 #include "support/rng.hpp"
 
 namespace augem::blas {
 namespace {
 
-std::unique_ptr<Blas> make_library(const std::string& which) {
-  if (which == "refblas") return make_refblas();
-  if (which == "gotosim") return make_gotosim();
-  if (which == "atlsim") return make_atlsim();
-  return make_vendorsim();
-}
-
 constexpr Side kSides[] = {Side::kLeft, Side::kRight};
 constexpr Uplo kUplos[] = {Uplo::kLower, Uplo::kUpper};
 constexpr Trans kTranses[] = {Trans::kNo, Trans::kYes};
 
-class Level3 : public ::testing::TestWithParam<std::string> {
+class Level3 : public augem::testing::LibraryTest {
  protected:
-  std::unique_ptr<Blas> lib_ = make_library(GetParam());
   Rng rng_{31};
 };
 
@@ -47,7 +38,7 @@ TEST_P(Level3, GerMatchesReference) {
 }
 
 TEST_P(Level3, SymmMatchesReference) {
-  // m > kL3Block exercises off-diagonal, transposed and diagonal blocks.
+  // m > the default block (128) exercises more than one block.
   const index_t m = 150, n = 40;
   for (Side side : kSides) {
     for (Uplo uplo : kUplos) {
@@ -211,7 +202,7 @@ TEST_P(Level3, TinyDecompositionBlockCrossesEveryBoundary) {
 
 INSTANTIATE_TEST_SUITE_P(AllLibraries, Level3,
                          ::testing::Values("refblas", "vendorsim", "gotosim",
-                                           "atlsim"));
+                                           "atlsim", "runtime"));
 
 }  // namespace
 }  // namespace augem::blas

@@ -19,11 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "../common/libraries.hpp"
 #include "blas/driver.hpp"
-#include "blas/libraries.hpp"
 #include "blas/reference.hpp"
-#include "jit/jit.hpp"
-#include "runtime/runtime_blas.hpp"
 #include "support/rng.hpp"
 
 namespace augem::blas {
@@ -32,31 +30,8 @@ namespace {
 const double kNaN = std::numeric_limits<double>::quiet_NaN();
 const double kInf = std::numeric_limits<double>::infinity();
 
-std::unique_ptr<Blas> make_library(const std::string& which) {
-  if (which == "refblas") return make_refblas();
-  if (which == "gotosim") return make_gotosim();
-  if (which == "atlsim") return make_atlsim();
-  if (which == "runtime") {
-    // The BLAS every user calls, on the untuned default kernels.
-    static runtime::KernelRuntime rt([] {
-      runtime::RuntimeConfig c;
-      c.use_persistent = false;
-      c.tune_on_miss = false;
-      return c;
-    }());
-    return runtime::make_runtime_blas(rt);
-  }
-  return make_vendorsim();
-}
-
-class SemanticsEdge : public ::testing::TestWithParam<std::string> {
+class SemanticsEdge : public augem::testing::LibraryTest {
  protected:
-  void SetUp() override {
-    if (GetParam() == "runtime" && !jit::toolchain_available())
-      GTEST_SKIP() << "no assembler toolchain; RuntimeBlas needs native "
-                      "kernels";
-  }
-  std::unique_ptr<Blas> lib_ = make_library(GetParam());
   Rng rng_{2026};
 };
 

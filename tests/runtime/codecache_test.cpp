@@ -10,8 +10,7 @@
 namespace augem::runtime {
 namespace {
 
-/// Keys whose cpu field distinguishes them; one shard in most tests so the
-/// global LRU order is deterministic.
+/// Keys whose cpu field distinguishes them.
 KernelKey key_named(const std::string& name) {
   KernelKey key;
   key.cpu = name;
@@ -32,7 +31,7 @@ CodeCache::Builder fake_builder(const std::string& name,
 }
 
 TEST(CodeCache, MissBuildsThenHitsServeResident) {
-  CodeCache cache(/*capacity=*/4, /*shards=*/1);
+  CodeCache cache(/*capacity=*/4);
   std::atomic<int> builds{0};
   const auto first = cache.get_or_build(key_named("a"), fake_builder("a", &builds));
   const auto second = cache.get_or_build(key_named("a"), fake_builder("a", &builds));
@@ -46,7 +45,7 @@ TEST(CodeCache, MissBuildsThenHitsServeResident) {
 }
 
 TEST(CodeCache, LruEvictsLeastRecentlyUsed) {
-  CodeCache cache(/*capacity=*/3, /*shards=*/1);
+  CodeCache cache(/*capacity=*/3);
   (void)cache.get_or_build(key_named("a"), fake_builder("a"));
   (void)cache.get_or_build(key_named("b"), fake_builder("b"));
   (void)cache.get_or_build(key_named("c"), fake_builder("c"));
@@ -69,7 +68,7 @@ TEST(CodeCache, LruEvictsLeastRecentlyUsed) {
 }
 
 TEST(CodeCache, EvictedEntrySurvivesWhileHeld) {
-  CodeCache cache(/*capacity=*/1, /*shards=*/1);
+  CodeCache cache(/*capacity=*/1);
   const auto held = cache.get_or_build(key_named("a"), fake_builder("a"));
   (void)cache.get_or_build(key_named("b"), fake_builder("b"));  // evicts "a"
   EXPECT_EQ(cache.stats().evictions, 1u);
@@ -78,7 +77,7 @@ TEST(CodeCache, EvictedEntrySurvivesWhileHeld) {
 }
 
 TEST(CodeCache, LookupPeeksWithoutBuilding) {
-  CodeCache cache(/*capacity=*/4, /*shards=*/1);
+  CodeCache cache(/*capacity=*/4);
   EXPECT_EQ(cache.lookup(key_named("a")), nullptr);
   (void)cache.get_or_build(key_named("a"), fake_builder("a"));
   const auto found = cache.lookup(key_named("a"));
@@ -89,7 +88,7 @@ TEST(CodeCache, LookupPeeksWithoutBuilding) {
 TEST(CodeCache, ConcurrentSameKeyBuildsExactlyOnce) {
   // The dedup contract the dispatcher relies on: N threads racing on one
   // cold key perform one build and all receive the same module.
-  CodeCache cache(/*capacity=*/8, /*shards=*/4);
+  CodeCache cache(/*capacity=*/8);
   std::atomic<int> builds{0};
   const CodeCache::Builder slow = [&builds] {
     builds.fetch_add(1);
@@ -116,7 +115,7 @@ TEST(CodeCache, ConcurrentSameKeyBuildsExactlyOnce) {
 }
 
 TEST(CodeCache, ConcurrentDistinctKeysAllResolve) {
-  CodeCache cache(/*capacity=*/64, /*shards=*/4);
+  CodeCache cache(/*capacity=*/64);
   constexpr int kThreads = 8;
   std::atomic<int> builds{0};
   std::vector<std::thread> threads;
@@ -134,7 +133,7 @@ TEST(CodeCache, ConcurrentDistinctKeysAllResolve) {
 }
 
 TEST(CodeCache, FailedBuildPropagatesAndRetries) {
-  CodeCache cache(/*capacity=*/4, /*shards=*/1);
+  CodeCache cache(/*capacity=*/4);
   int attempts = 0;
   const CodeCache::Builder flaky = [&attempts]() -> CodeCache::KernelPtr {
     if (++attempts == 1) throw std::runtime_error("assembler unavailable");
@@ -153,13 +152,13 @@ TEST(CodeCache, FailedBuildPropagatesAndRetries) {
 }
 
 // Run under ThreadSanitizer (cmake -DAUGEM_SANITIZE=thread) this is the
-// regression test for the eviction/resolve race: a capacity-1 shard where
+// regression test for the eviction/resolve race: a capacity-1 cache where
 // every insert evicts, one thread churning builds while others resolve and
 // *use* their kernels through the returned shared_ptr. An eviction that
 // unmapped a held module would be a use-after-free here; the contract is
 // that eviction only drops the cache's reference.
 TEST(CodeCache, EvictionRacingResolveNeverInvalidatesHeldKernels) {
-  CodeCache cache(/*capacity=*/1, /*shards=*/1);
+  CodeCache cache(/*capacity=*/1);
   std::atomic<bool> stop{false};
   std::atomic<int> bad{0};
 
@@ -181,7 +180,7 @@ TEST(CodeCache, EvictionRacingResolveNeverInvalidatesHeldKernels) {
         const auto held =
             cache.get_or_build(key_named("hot"), fake_builder("hot"));
         // Touch the kernel *after* the churn thread has had every chance
-        // to evict it from the shard.
+        // to evict it from the cache.
         if (held->symbol != "hot" || held->key.cpu != "hot") bad.fetch_add(1);
       }
     });
@@ -189,12 +188,12 @@ TEST(CodeCache, EvictionRacingResolveNeverInvalidatesHeldKernels) {
   stop.store(true);
   churn.join();
   EXPECT_EQ(bad.load(), 0);
-  // Sanity: the capacity-1 shard really was thrashing.
+  // Sanity: the capacity-1 cache really was thrashing.
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
 TEST(CodeCache, ClearEmptiesEveryShard)  {
-  CodeCache cache(/*capacity=*/16, /*shards=*/4);
+  CodeCache cache(/*capacity=*/16);
   for (int i = 0; i < 6; ++i) {
     const std::string name = "k" + std::to_string(i);
     (void)cache.get_or_build(key_named(name), fake_builder(name));

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "blas/reference.hpp"
@@ -153,6 +155,71 @@ TEST_F(RuntimeLevel3, DegenerateAndAlphaZeroShortCircuitTheRuntime) {
                            0.5, cb.data(), 2, 4, 1, nullptr, 0, false);
   EXPECT_EQ(rt_.counters().builds, builds);
   for (double v : cb) EXPECT_EQ(v, 1.0);
+}
+
+TEST_F(RuntimeLevel3, EvictionDuringACallNeverUnmapsItsKernel) {
+  // A one-entry code cache and a second thread resolving other kernel keys
+  // for as long as a long SYRK runs: the SYRK's GEMM kernel is evicted
+  // while its panels still call it. The kernel must stay mapped, because
+  // the Level-3 call's plan — not the cache — owns it. The thread cycles
+  // through every other (kind, shape class) key and 64 small-GEMM keys
+  // until the call returns, so the eviction relies neither on one
+  // well-timed resolve nor on how the cache groups its keys.
+  RuntimeConfig cfg = memory_config();
+  cfg.code_cache_capacity = 1;
+  KernelRuntime rt(cfg);
+  const auto lib = make_runtime_blas(rt);
+  const index_t n = 1500, k = 4000;
+  const ShapeClass gemm_shape = classify_gemm_shape(n, n, k);
+  std::vector<std::pair<frontend::KernelKind, ShapeClass>> others;
+  for (auto kind : {frontend::KernelKind::kAxpy, frontend::KernelKind::kDot,
+                    frontend::KernelKind::kScal, frontend::KernelKind::kGemv,
+                    frontend::KernelKind::kGemm})
+    for (auto shape :
+         {ShapeClass::kSmall, ShapeClass::kSkinny, ShapeClass::kLarge})
+      if (kind != frontend::KernelKind::kGemm || shape != gemm_shape)
+        others.emplace_back(kind, shape);
+  const auto resolve_other = [&](std::size_t i) {
+    i %= others.size() + 64;
+    if (i < others.size()) {
+      (void)rt.resolve(others[i].first, others[i].second);
+      return;
+    }
+    i -= others.size();
+    frontend::SmallGemmSpec spec;
+    spec.m = static_cast<int>(1 + i % 4);
+    spec.n = static_cast<int>(1 + i / 4 % 4);
+    spec.k = static_cast<int>(1 + i / 16);
+    (void)rt.resolve_small(spec);
+  };
+
+  std::vector<double> a(static_cast<std::size_t>(n * k)),
+      c(static_cast<std::size_t>(n * n));
+  rng_.fill(a);
+  rng_.fill(c);
+  const std::vector<double> c0 = c;
+  (void)rt.resolve(frontend::KernelKind::kGemm, gemm_shape);  // warm
+
+  std::jthread evict([&](std::stop_token stop) {
+    for (std::size_t i = 0; !stop.stop_requested(); ++i) resolve_other(i);
+  });
+  lib->syrk(Uplo::kLower, Trans::kNo, n, k, 0.5, a.data(), n, 2.0, c.data(),
+            n);
+  evict.request_stop();
+  evict.join();
+
+  EXPECT_GT(rt.code_stats().evictions, 0u);
+  // Spot-check the stored triangle against the definition.
+  for (index_t j = 0; j < n; j += 97)
+    for (index_t i = j; i < n; i += 89) {
+      double dot = 0.0;
+      for (index_t l = 0; l < k; ++l)
+        dot += at(a.data(), n, i, l) * at(a.data(), n, j, l);
+      ASSERT_NEAR(at(c.data(), n, i, j),
+                  0.5 * dot + 2.0 * at(c0.data(), n, i, j),
+                  1e-10 * static_cast<double>(k))
+          << i << "," << j;
+    }
 }
 
 }  // namespace

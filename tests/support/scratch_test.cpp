@@ -45,7 +45,7 @@ TEST(ScratchLease, HoldsAndReleasesSlot) {
     lease.data()[0] = 1.0;
     lease.data()[63] = 2.0;
     // A *different* slot is still freely available while this one is held.
-    ScratchLease other(16, Scratch::kLevel3TmpB);
+    ScratchLease other(16, Scratch::kLevel3PackB);
     EXPECT_NE(other.data(), lease.data());
   }
   // Both released: re-acquiring must succeed.
