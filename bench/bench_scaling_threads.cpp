@@ -2,9 +2,9 @@
 // thread count at a fixed square size (default 2048, overridable via
 // argv[1]), one JSON row per point plus the usual human-readable table.
 //
-// The serial row (threads=1) runs the historical single-core driver; the
-// threaded rows run the shared-packed-B / partitioned-ic decomposition on
-// the global pool. The paper's OpenBLAS integration reports both single-
+// The serial row (threads=1) runs the driver's macro loop on the calling
+// thread; the threaded rows run the shared-packed-B / partitioned-ic
+// decomposition of the same loop on the global pool. The paper's OpenBLAS integration reports both single-
 // and multi-threaded DGEMM; this is our equivalent of that second curve.
 //
 // Expected shape: near-linear scaling while cores are exclusive, with the

@@ -47,7 +47,7 @@ BlockSizes block_sizes_for_shape(const CpuArch& arch, index_t m, index_t n,
 GemmContext gemm_context_for_shape(const CpuArch& arch, index_t m, index_t n,
                                    index_t k) {
   const BlockSizes sizes = block_sizes_for_shape(arch, m, n, k);
-  // Threading repays its pool wake + barrier only past a work threshold;
+  // Threading repays its pool wakes only past a work threshold;
   // 2mnk flops below ~16 MFLOP run serial (the crossover every scaling
   // bench on the CI class machines shows is in the 1-64 MFLOP decade).
   const double flops = 2.0 * static_cast<double>(m) * static_cast<double>(n) *
@@ -73,128 +73,54 @@ GemmContext threaded_gemm_context(const BlockSizes& sizes) {
 
 namespace {
 
-index_t ceil_div(index_t a, index_t b) { return (a + b - 1) / b; }
-
-/// The historical single-core macro loop, byte-for-byte the reference the
-/// parallel decomposition must reproduce.
-void serial_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
-                 double alpha, const double* a, index_t lda, const double* b,
-                 index_t ldb, double beta, double* c, index_t ldc,
-                 const BlockSizes& sizes, const BlockKernel& kernel) {
-  // beta is applied once up front (overwriting when beta == 0, see
-  // beta_scale); the block kernels accumulate.
-  for (index_t j = 0; j < n; ++j) beta_scale(&at(c, ldc, 0, j), m, beta);
-  if (k <= 0 || alpha == 0.0) return;
-
-  double* pa = scratch_doubles(static_cast<std::size_t>(sizes.mc * sizes.kc),
-                               Scratch::kGemmPackA);
-  double* pb = scratch_doubles(static_cast<std::size_t>(sizes.kc * sizes.nc),
-                               Scratch::kGemmPackB);
-
-  for (index_t jc = 0; jc < n; jc += sizes.nc) {
-    const index_t nc = std::min(sizes.nc, n - jc);
-    for (index_t pc = 0; pc < k; pc += sizes.kc) {
-      const index_t kc = std::min(sizes.kc, k - pc);
-      pack_b_block(tb, b, ldb, pc, jc, kc, nc, pb);
-      for (index_t ic = 0; ic < m; ic += sizes.mc) {
-        const index_t mc = std::min(sizes.mc, m - ic);
-        pack_a_block(ta, a, lda, ic, pc, mc, kc, alpha, pa);
-        kernel(mc, nc, kc, pa, pb, &at(c, ldc, ic, jc), ldc);
-      }
-    }
-  }
+/// The failure path of the geometry and range checks, out of line so each
+/// check costs the per-call path a compare.
+[[noreturn, gnu::cold, gnu::noinline]] void fail_check(const char* what,
+                                                       index_t a, index_t b) {
+  AUGEM_FAIL(what << " (" << a << ", " << b << ")");
 }
 
-void parallel_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
-                   double alpha, const double* a, index_t lda, const double* b,
-                   index_t ldb, double beta, double* c, index_t ldc,
-                   const GemmContext& ctx, int threads,
-                   const BlockKernel& kernel) {
-  ThreadPool& pool = *ctx.pool;
-  const index_t T = threads;
-  const BlockSizes& s = ctx.sizes;
+/// Chunk count of an extent a ≥ 0, and the chunk index of a chunk-aligned
+/// offset. One-chunk extents skip the 64-bit divide (~20 cycles): a small
+/// GEMM runs a dozen of these per call.
+index_t ceil_div(index_t a, index_t b) {
+  return a <= b ? (a > 0 ? 1 : 0) : (a + b - 1) / b;
+}
 
-  // Up-front beta sweep over all of C: a full-matrix pass that would
-  // otherwise serialize small-k calls; columns split contiguously so each
-  // element is scaled exactly once (bit-identical to the serial sweep).
-  // Note: run() dispatches to every pool participant; a context may use
-  // fewer (ctx.threads < pool size, e.g. during a tuner sweep), so tids
-  // beyond T idle — but must still reach every barrier.
-  if (beta != 1.0) {
-    pool.run([&](int tid) {
-      if (tid >= T) return;
-      const index_t j0 = n * tid / T;
-      const index_t j1 = n * (tid + 1) / T;
-      for (index_t j = j0; j < j1; ++j) beta_scale(&at(c, ldc, 0, j), m, beta);
-    });
+/// Participants a context runs on: its thread count clamped to its pool.
+int participants(const GemmContext& ctx) {
+  return ctx.pool != nullptr ? std::min(ctx.threads, ctx.pool->num_threads())
+                             : 1;
+}
+
+/// Runs body(tid, T) for each of the T participants of ctx: inline on the
+/// caller when T == 1, else as one pool run whose tids beyond T idle (a
+/// context may use fewer threads than its pool has). Inlined, and the pool
+/// task holds a copy of the body, so a serial call never spills the body's
+/// captures to memory — small GEMMs pay for every instruction here.
+template <class Body>
+[[gnu::always_inline]] inline void for_each_participant(const GemmContext& ctx,
+                                                        const Body& body) {
+  const index_t T = participants(ctx);
+  if (T <= 1) {
+    body(0, 1);
+    return;
   }
-  if (k <= 0 || alpha == 0.0) return;
+  ctx.pool->run([body, T](int tid) {
+    if (tid < T) body(tid, T);
+  });
+}
 
-  const index_t granule = std::max<index_t>(1, ctx.jr_granule);
-  // Shared packed-B panel: lives in the calling thread's scratch cache,
-  // cooperatively written by all threads before the barrier and read-only
-  // after it. Workers see it through the captured pointer.
-  double* pb = scratch_doubles(static_cast<std::size_t>(s.kc * s.nc),
-                               Scratch::kGemmPackB);
-
-  for (index_t jc = 0; jc < n; jc += s.nc) {
-    const index_t nc = std::min(s.nc, n - jc);
-    // 2D decomposition of this panel: ic blocks × jr chunks. The jr split
-    // activates only when C has fewer row blocks than threads (tall-skinny);
-    // chunk boundaries stay on granule multiples so every kernel call sees
-    // the serial sweep's register-tile boundaries.
-    const index_t iblocks = ceil_div(m, s.mc);
-    index_t jw = nc;  // jr chunk width
-    index_t njr = 1;
-    if (iblocks < T && nc > granule) {
-      const index_t want = ceil_div(T, iblocks);
-      jw = std::max(granule, ceil_div(ceil_div(nc, want), granule) * granule);
-      njr = ceil_div(nc, jw);
-    }
-    for (index_t pc = 0; pc < k; pc += s.kc) {
-      const index_t kc = std::min(s.kc, k - pc);
-      pool.run([&](int tid) {
-        // Phase 1 — cooperative B pack. The panel is stored as njr
-        // contiguous chunk-panels (chunk q covers columns [q*jw, q*jw+w)
-        // with row stride w, at offset kc*q*jw); each thread packs one
-        // l-slice of every chunk.
-        const index_t l0 = tid < T ? kc * tid / T : kc;
-        const index_t l1 = tid < T ? kc * (tid + 1) / T : kc;
-        if (l1 > l0) {
-          for (index_t q = 0; q < njr; ++q) {
-            const index_t j0 = q * jw;
-            const index_t w = std::min(jw, nc - j0);
-            pack_b_block(tb, b, ldb, pc + l0, jc + j0, l1 - l0, w,
-                         pb + kc * j0 + l0 * w);
-          }
-        }
-        pool.barrier();
-        if (tid >= T) return;
-        // Phase 2 — partition the (ic block × jr chunk) grid round-robin.
-        // A blocks are packed privately per thread: redundant across jr
-        // chunks of one block, but free of sharing traffic.
-        double* pa = scratch_doubles(static_cast<std::size_t>(s.mc * kc),
-                                     Scratch::kGemmPackA);
-        const index_t items = iblocks * njr;
-        index_t packed_bi = -1;
-        for (index_t it = tid; it < items; it += T) {
-          const index_t bi = it / njr;
-          const index_t q = it % njr;
-          const index_t ic = bi * s.mc;
-          const index_t mc = std::min(s.mc, m - ic);
-          if (bi != packed_bi) {
-            pack_a_block(ta, a, lda, ic, pc, mc, kc, alpha, pa);
-            packed_bi = bi;
-          }
-          const index_t j0 = q * jw;
-          const index_t w = std::min(jw, nc - j0);
-          kernel(mc, w, kc, pa, pb + kc * j0, &at(c, ldc, ic, jc + j0), ldc);
-        }
-        // The run()'s completion handshake is the end-of-region barrier: pb
-        // is not repacked until every thread returned.
-      });
-    }
-  }
+/// beta_scale over the m×n block at c. Columns split contiguously across
+/// the participants, so each element is scaled exactly once (bit-identical
+/// to the serial sweep).
+void scale_columns(index_t m, index_t n, double beta, double* c, index_t ldc,
+                   const GemmContext& ctx) {
+  if (beta == 1.0) return;
+  for_each_participant(ctx, [=](index_t tid, index_t T) {
+    for (index_t j = n * tid / T; j < n * (tid + 1) / T; ++j)
+      beta_scale(&at(c, ldc, 0, j), m, beta);
+  });
 }
 
 }  // namespace
@@ -204,34 +130,57 @@ void blocked_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
                   index_t ldb, double beta, double* c, index_t ldc,
                   const GemmContext& ctx, const BlockKernel& kernel) {
   if (m <= 0 || n <= 0) return;
-  const int threads =
-      ctx.pool != nullptr ? std::min(ctx.threads, ctx.pool->num_threads()) : 1;
-  if (threads <= 1) {
-    serial_gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-                ctx.sizes, kernel);
+  if (k <= 0 || alpha == 0.0) {
+    scale_columns(m, n, beta, c, ldc, ctx);
     return;
   }
-  parallel_gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc, ctx,
-                threads, kernel);
-}
+  const BlockSizes& s = ctx.sizes;
+  const index_t T = participants(ctx);
+  const index_t granule = std::max<index_t>(1, ctx.jr_granule);
+  const index_t iblocks = ceil_div(m, s.mc);
+  double* storage = scratch_doubles(static_cast<std::size_t>(s.kc * s.nc),
+                                    Scratch::kGemmPackB);
 
-void blocked_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
-                  double alpha, const double* a, index_t lda, const double* b,
-                  index_t ldb, double beta, double* c, index_t ldc,
-                  const BlockSizes& sizes, const BlockKernel& kernel) {
-  blocked_gemm(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-               serial_gemm_context(sizes), kernel);
+  for (index_t jc = 0; jc < n; jc += s.nc) {
+    const index_t nc = std::min(s.nc, n - jc);
+    // The jr split activates only when C has fewer row blocks than
+    // participants (tall-skinny); chunk boundaries stay on granule
+    // multiples so every kernel call sees the serial sweep's register-tile
+    // boundaries.
+    index_t jw = nc;
+    if (iblocks < T && nc > granule) {
+      const index_t want = ceil_div(T, iblocks);
+      jw = std::max(granule, ceil_div(ceil_div(nc, want), granule) * granule);
+    }
+    for (index_t pc = 0; pc < k; pc += s.kc) {
+      const index_t kc = std::min(s.kc, k - pc);
+      const auto write_b = [=](index_t l0, index_t j0, index_t rows, index_t w,
+                               double* dst) {
+        pack_b_block(tb, b, ldb, pc + l0, jc + j0, rows, w, dst);
+      };
+      const auto pack_a = [=](index_t i0, index_t p0, index_t mc,
+                              index_t rows, double* pa) {
+        pack_a_block(ta, a, lda, i0, pc + p0, mc, rows, alpha, pa);
+      };
+      // std::ref: the std::function parameters wrap the lambdas without a
+      // heap allocation per step.
+      PackedB pb(kc, nc, kc, jw, storage);
+      pb.pack_rows(0, kc, std::ref(write_b), ctx);
+      blocked_gemm_prepacked(m, 0, nc, 0, kc, pb, pc == 0 ? beta : 1.0,
+                             &at(c, ldc, 0, jc), ldc, ctx, kernel,
+                             std::ref(pack_a));
+    }
+  }
 }
 
 // ---- prepacked panels -----------------------------------------------------
 
 PackedB::PackedB(index_t k, index_t n, index_t kc, index_t jw, double* storage)
     : k_(k), n_(n), kc_(kc), jw_(jw), data_(storage) {
-  AUGEM_CHECK(k > 0 && n > 0 && kc > 0 && jw > 0 && storage != nullptr,
-              "invalid PackedB geometry");
+  if (k <= 0 || n <= 0 || kc <= 0 || jw <= 0 || storage == nullptr)
+    fail_check("invalid PackedB geometry: k, n", k, n);
   kchunks_ = ceil_div(k, kc);
   jchunks_ = ceil_div(n, jw);
-  uses_.assign(static_cast<std::size_t>(kchunks_ * jchunks_), 0);
 }
 
 std::size_t PackedB::storage_doubles(index_t k, index_t n, index_t kc) {
@@ -242,31 +191,26 @@ std::size_t PackedB::storage_doubles(index_t k, index_t n, index_t kc) {
 
 void PackedB::pack_rows(index_t k0, index_t k1, const PanelWriter& writer,
                         const GemmContext& ctx, Level3Stats* stats) {
-  AUGEM_CHECK(k0 % kc_ == 0 && (k1 == k_ || k1 % kc_ == 0) && k0 <= k1 &&
-                  k1 <= k_,
-              "pack_rows range [" << k0 << ", " << k1
-                                  << ") is not chunk-aligned");
-  if (k1 <= k0) return;
-  const index_t q0 = k0 / kc_;
+  const index_t q0 = ceil_div(k0, kc_);
   const index_t q1 = ceil_div(k1, kc_);
-  const index_t items = (q1 - q0) * jchunks_;
-  const auto pack_item = [&](index_t it) {
-    const index_t qk = q0 + it / jchunks_;
-    const index_t qj = it % jchunks_;
-    writer(qk * kc_, qj * jw_, chunk_rows(qk), chunk_cols(qj), chunk(qk, qj));
-  };
-  const int threads =
-      ctx.pool != nullptr ? std::min(ctx.threads, ctx.pool->num_threads()) : 1;
-  if (threads <= 1 || items <= 1) {
-    for (index_t it = 0; it < items; ++it) pack_item(it);
-  } else {
-    // Chunk writes are disjoint; spread them round-robin over the pool.
-    ctx.pool->run([&](int tid) {
-      if (tid >= threads) return;
-      for (index_t it = tid; it < items; it += threads) pack_item(it);
-    });
-  }
-  if (stats != nullptr) stats->panels_packed += items;
+  if (q0 * kc_ != k0 || (k1 != k_ && q1 * kc_ != k1) || k0 > k1 || k1 > k_)
+    fail_check("pack_rows range is not chunk-aligned", k0, k1);
+  if (k1 <= k0) return;
+  // Participant tid of T writes rows [rows*tid/T, rows*(tid+1)/T) of every
+  // chunk in range: disjoint slices that tile the range.
+  for_each_participant(ctx, [=, this, &writer](index_t tid, index_t T) {
+    for (index_t qk = q0; qk < q1; ++qk) {
+      const index_t rows = chunk_rows(qk);
+      const index_t l0 = rows * tid / T;
+      const index_t l1 = rows * (tid + 1) / T;
+      if (l1 <= l0) continue;
+      for (index_t qj = 0; qj < jchunks_; ++qj) {
+        const index_t w = chunk_cols(qj);
+        writer(qk * kc_ + l0, qj * jw_, l1 - l0, w, chunk(qk, qj) + l0 * w);
+      }
+    }
+  });
+  if (stats != nullptr) stats->panels_packed += (q1 - q0) * jchunks_;
 }
 
 index_t default_jr_width(index_t n, index_t granule) {
@@ -287,83 +231,55 @@ void blocked_gemm_prepacked(index_t m, index_t j0, index_t j1, index_t k0,
   if (m <= 0 || j1 <= j0) return;
   const index_t jw = pb.jw();
   const index_t kc = pb.kc();
-  AUGEM_CHECK(j0 % jw == 0 && (j1 == pb.n() || j1 % jw == 0),
-              "column range [" << j0 << ", " << j1
-                               << ") is not jr-chunk-aligned");
-  AUGEM_CHECK(k0 % kc == 0 && (k1 == pb.k() || k1 % kc == 0) && k1 <= pb.k(),
-              "k range [" << k0 << ", " << k1 << ") is not chunk-aligned");
+  const index_t qj0 = ceil_div(j0, jw);
+  const index_t qj1 = ceil_div(j1, jw);
+  const index_t qk0 = ceil_div(k0, kc);
+  const index_t qk1 = ceil_div(k1, kc);
+  if (qj0 * jw != j0 || (j1 != pb.n() && qj1 * jw != j1))
+    fail_check("column range is not jr-chunk-aligned", j0, j1);
+  if (qk0 * kc != k0 || (k1 != pb.k() && qk1 * kc != k1) || k1 > pb.k())
+    fail_check("k range is not chunk-aligned", k0, k1);
 
-  const int threads =
-      ctx.pool != nullptr ? std::min(ctx.threads, ctx.pool->num_threads()) : 1;
-  const index_t ncols = j1 - j0;
-  if (beta != 1.0) {
-    if (threads <= 1) {
-      for (index_t j = 0; j < ncols; ++j)
-        beta_scale(&at(c, ldc, 0, j), m, beta);
-    } else {
-      ThreadPool& pool = *ctx.pool;
-      const index_t T = threads;
-      pool.run([&](int tid) {
-        if (tid >= T) return;
-        const index_t c0 = ncols * tid / T;
-        const index_t c1 = ncols * (tid + 1) / T;
-        for (index_t j = c0; j < c1; ++j)
-          beta_scale(&at(c, ldc, 0, j), m, beta);
-      });
-    }
-  }
+  scale_columns(m, j1 - j0, beta, c, ldc, ctx);
   if (k1 <= k0) return;
 
   const index_t mc = ctx.sizes.mc;
   const index_t iblocks = ceil_div(m, mc);
-  const index_t qj0 = j0 / jw;
-  const index_t qj1 = ceil_div(j1, jw);
-  const index_t njr = qj1 - qj0;
-  const index_t qk0 = k0 / kc;
-  const index_t qk1 = ceil_div(k1, kc);
 
   for (index_t qk = qk0; qk < qk1; ++qk) {
     const index_t kcq = pb.chunk_rows(qk);
     const index_t p0 = qk * kc;
-    const auto run_items = [&](index_t first, index_t stride, double* pa) {
-      index_t packed_bi = -1;
-      for (index_t it = first; it < iblocks * njr; it += stride) {
-        const index_t bi = it / njr;
-        const index_t qj = qj0 + it % njr;
-        const index_t ic = bi * mc;
-        const index_t mcb = std::min(mc, m - ic);
-        if (bi != packed_bi) {
-          apack(ic, p0, mcb, kcq, pa);
-          packed_bi = bi;
-        }
-        const index_t w = pb.chunk_cols(qj);
-        kernel(mcb, w, kcq, pa, pb.chunk(qk, qj),
-               &at(c, ldc, ic, qj * jw - j0), ldc);
-      }
-    };
-    if (threads <= 1) {
+    // The (ic block × jr chunk) grid, row-major, round-robin: participant
+    // tid takes items tid, tid + T, … A blocks are packed privately per
+    // thread, once per block it visits: redundant across jr chunks of one
+    // block, but free of sharing traffic. Each k-chunk is one pool run, so
+    // the accumulation order into any C tile matches the serial loop.
+    for_each_participant(ctx, [&](index_t tid, index_t T) {
       double* pa = scratch_doubles(static_cast<std::size_t>(mc * kcq),
                                    Scratch::kGemmPackA);
-      run_items(0, 1, pa);
-    } else {
-      // Same (ic block × jr chunk) round-robin grid as parallel_gemm; the
-      // run() completion handshake orders successive k-chunks, so the
-      // accumulation order into any C tile matches the serial loop.
-      ThreadPool& pool = *ctx.pool;
-      const index_t T = threads;
-      pool.run([&](int tid) {
-        if (tid >= T) return;
-        double* pa = scratch_doubles(static_cast<std::size_t>(mc * kcq),
-                                     Scratch::kGemmPackA);
-        run_items(tid, T, pa);
-      });
-    }
+      index_t it = 0;
+      index_t next = tid;
+      for (index_t ic = 0; ic < m; ic += mc) {
+        const index_t mcb = std::min(mc, m - ic);
+        bool packed = false;
+        for (index_t qj = qj0; qj < qj1; ++qj, ++it) {
+          if (it != next) continue;
+          next += T;
+          if (!packed) {
+            apack(ic, p0, mcb, kcq, pa);
+            packed = true;
+          }
+          kernel(mcb, pb.chunk_cols(qj), kcq, pa, pb.chunk(qk, qj),
+                 &at(c, ldc, ic, qj * jw - j0), ldc);
+        }
+      }
+    });
     // Reuse accounting on the calling thread: every chunk in range was
     // consumed once per ic block this call.
+    if (stats == nullptr) continue;
     for (index_t qj = qj0; qj < qj1; ++qj) {
       auto& u = pb.uses()[static_cast<std::size_t>(qk * pb.jchunks() + qj)];
-      if (stats != nullptr)
-        stats->panel_reuses += iblocks - (u == 0 ? 1 : 0);
+      stats->panel_reuses += iblocks - (u == 0 ? 1 : 0);
       u += static_cast<std::int32_t>(iblocks);
     }
   }

@@ -37,18 +37,19 @@ using BlockKernel =
 
 /// Execution context of one GEMM entry: blocking plus threading.
 ///
-/// With threads == 1 (or no pool) the driver runs the exact serial macro
-/// loop. Otherwise the BLIS-style 2D decomposition is used: for each
-/// (jc, pc) panel all threads cooperatively pack B — shared read-only
-/// afterwards — then partition the ic loop, each thread packing its A
-/// blocks into per-thread scratch; when C has fewer ic blocks than threads
-/// (tall-skinny), the jr sub-loop inside the panel is split as the second
-/// dimension. jr splits land on jr_granule column multiples so every block
-/// kernel sees the same register-tile boundaries as the serial sweep — the
-/// parallel result is bit-identical to the serial one for any kernel whose
-/// per-element operation order depends only on the position inside its
-/// column tile (true of all kernels in this repository; granule 8 covers
-/// every generated tile width nr ∈ {2, 4, 8}).
+/// With threads == 1 (or no pool) every phase of the driver runs on the
+/// caller. Otherwise the BLIS-style 2D decomposition is used: all
+/// participants pack each B panel (a row slice of every chunk each) —
+/// shared read-only afterwards — then split the (ic block × jr chunk) grid
+/// round-robin, each thread packing its A blocks into per-thread scratch;
+/// blocked_gemm cuts its panels into jr chunks only when C has fewer ic
+/// blocks than participants (tall-skinny). jr splits land on jr_granule
+/// column multiples so every block kernel sees the same register-tile
+/// boundaries as the serial sweep — the parallel result is bit-identical
+/// to the serial one for any kernel whose per-element operation order
+/// depends only on the position inside its column tile (true of all
+/// kernels in this repository; granule 8 covers every generated tile width
+/// nr ∈ {2, 4, 8}).
 struct GemmContext {
   BlockSizes sizes;
   int threads = 1;            ///< participants used (clamped to pool size)
@@ -80,35 +81,32 @@ BlockSizes block_sizes_for_shape(const CpuArch& arch, index_t m, index_t n,
 GemmContext gemm_context_for_shape(const CpuArch& arch, index_t m, index_t n,
                                    index_t k);
 
-/// Serial context (bit-identical to the historical single-core driver).
+/// Serial context: every phase on the calling thread.
 GemmContext serial_gemm_context(const BlockSizes& sizes);
 
 /// Context on the process-global pool, sized by AUGEM_NUM_THREADS or the
 /// detected core count.
 GemmContext threaded_gemm_context(const BlockSizes& sizes);
 
-/// Full GEMM: C = alpha*op(A)*op(B) + beta*C via packing + block kernel,
-/// decomposed across ctx.threads workers.
+/// Full GEMM: C = alpha*op(A)*op(B) + beta*C. Each (jc, pc) step packs one
+/// kc×nc panel of op(B) and runs blocked_gemm_prepacked on it (beta at
+/// pc == 0), decomposed across ctx.threads workers.
 void blocked_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
                   double alpha, const double* a, index_t lda, const double* b,
                   index_t ldb, double beta, double* c, index_t ldc,
                   const GemmContext& ctx, const BlockKernel& kernel);
 
-/// Serial convenience overload (historical entry point).
-void blocked_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
-                  double alpha, const double* a, index_t lda, const double* b,
-                  index_t ldb, double beta, double* c, index_t ldc,
-                  const BlockSizes& sizes, const BlockKernel& kernel);
-
-// ---- prepacked panels for the Level-3 engine ------------------------------
+// ---- prepacked panels ----------------------------------------------------
 //
+// blocked_gemm packs one kc×nc panel per (jc, pc) step and consumes it once.
 // The Level-3 routines (blas/level3.hpp) decompose into many GEMM panels
 // that share one operand: SYRK consumes the same op(A) panel for the
 // diagonal temporary and the off-diagonal update, TRSM's trailing updates
-// re-read every already-solved block. Going through blocked_gemm would
-// repack that operand for every call; a PackedB packs it once into the
-// driver's kernel layout and blocked_gemm_prepacked consumes it repeatedly,
-// counting the reuse (Level3Stats) so tests can assert panels are shared.
+// re-read every already-solved block. A PackedB holds such an operand in
+// the kernel layout, packed once, and blocked_gemm_prepacked consumes it
+// repeatedly, counting the reuse (Level3Stats) so tests can assert panels
+// are shared. pack_a_block/pack_b_block (blas/pack.hpp) and the two
+// helpers below are the only code that writes the packed layout.
 
 /// Writes one packed sub-panel in kernel layout: dst[l*w + j] must become
 /// logical element (k0 + l, j0 + j) of the panel operand, l < kc, j < w.
@@ -121,6 +119,28 @@ using PanelWriter = std::function<void(index_t k0, index_t j0, index_t kc,
 /// alpha * element (i0 + i, p0 + l) of the left operand.
 using APacker = std::function<void(index_t i0, index_t p0, index_t mc,
                                    index_t kc, double* pa)>;
+
+/// The PanelWriter of a panel operand whose logical element (l, j) is
+/// elem(l, j).
+template <class Elem>
+PanelWriter panel_writer(Elem elem) {
+  return [elem](index_t k0, index_t j0, index_t kc, index_t w, double* dst) {
+    for (index_t l = 0; l < kc; ++l)
+      for (index_t j = 0; j < w; ++j) dst[l * w + j] = elem(k0 + l, j0 + j);
+  };
+}
+
+/// The APacker of a left operand whose logical element (i, l) is
+/// elem(i, l), folded with `coeff`.
+template <class Elem>
+APacker a_packer(Elem elem, double coeff) {
+  return [elem, coeff](index_t i0, index_t p0, index_t mc, index_t kc,
+                       double* pa) {
+    for (index_t l = 0; l < kc; ++l)
+      for (index_t i = 0; i < mc; ++i)
+        pa[l * mc + i] = coeff * elem(i0 + i, p0 + l);
+  };
+}
 
 /// Packed-panel accounting, aggregated across one Level-3 call.
 struct Level3Stats {
@@ -135,7 +155,7 @@ struct Level3Stats {
 /// identical kernel-call boundaries — the bit-identity condition of the
 /// threaded driver). Chunk (qk, qj) lives at
 /// data + qk*kc*n + rows(qk)*qj*jw with row stride min(jw, n - qj*jw).
-/// The storage pointer is borrowed (normally a ScratchLease).
+/// The storage pointer is borrowed (a scratch buffer).
 class PackedB {
  public:
   PackedB(index_t k, index_t n, index_t kc, index_t jw, double* storage);
@@ -145,7 +165,8 @@ class PackedB {
 
   /// Packs rows [k0, k1) of the panel through `writer`. The range must
   /// cover whole k-chunks (k0 aligned; k1 aligned or == k). With a
-  /// threaded ctx the independent chunk writes are spread over the pool.
+  /// threaded ctx every participant writes its row slice of every chunk,
+  /// so even a one-chunk panel packs on all threads.
   void pack_rows(index_t k0, index_t k1, const PanelWriter& writer,
                  const GemmContext& ctx, Level3Stats* stats = nullptr);
 
@@ -169,8 +190,13 @@ class PackedB {
   }
 
   /// Consumption counters per (qk, qj) chunk, maintained by
-  /// blocked_gemm_prepacked for the reuse statistics.
-  std::vector<std::int32_t>& uses() { return uses_; }
+  /// blocked_gemm_prepacked for the reuse statistics. Allocated on first
+  /// use, so a panel consumed without a Level3Stats never allocates.
+  std::vector<std::int32_t>& uses() {
+    if (uses_.empty())
+      uses_.assign(static_cast<std::size_t>(kchunks_ * jchunks_), 0);
+    return uses_;
+  }
 
  private:
   index_t k_, n_, kc_, jw_;
@@ -190,9 +216,9 @@ index_t default_jr_width(index_t n, index_t granule);
 /// alpha-folded A block on demand; the panel rows come prepacked from
 /// `pb`. Ranges must be chunk-aligned: k0/k1 on kc boundaries (or == k),
 /// j0/j1 on jw boundaries (or == n). c points at the C element for panel
-/// column j0. k-chunks run in ascending order with a pool barrier between
-/// them, so threaded accumulation is bit-identical to serial. Reuse
-/// accounting lands in `stats` and pb.uses().
+/// column j0. k-chunks run in ascending order, one pool run each, so
+/// threaded accumulation is bit-identical to serial. Reuse accounting
+/// lands in `stats` and pb.uses(), and only when `stats` is given.
 void blocked_gemm_prepacked(index_t m, index_t j0, index_t j1, index_t k0,
                             index_t k1, PackedB& pb, double beta, double* c,
                             index_t ldc, const GemmContext& ctx,

@@ -29,6 +29,20 @@ void zero_matrix(index_t m, index_t n, double* b, index_t ldb) {
   for (index_t j = 0; j < n; ++j) beta_scale(&at(b, ldb, 0, j), m, 0.0);
 }
 
+// Element accessors for panel_writer / a_packer (blas/driver.hpp): a
+// plain column-major matrix, and op(tri(A)) with everything outside the
+// effective triangle read as zero.
+
+auto dense(const double* x, index_t ld) {
+  return [x, ld](index_t i, index_t j) { return at(x, ld, i, j); };
+}
+
+auto masked_triangle(const double* a, index_t lda, Uplo uplo, Trans trans) {
+  return [=](index_t i, index_t j) {
+    return tri_at(a, lda, uplo, trans, i, j);
+  };
+}
+
 }  // namespace
 
 void level3_symm(const Level3Config& cfg, Side side, Uplo uplo, index_t m,
@@ -40,52 +54,25 @@ void level3_symm(const Level3Config& cfg, Side side, Uplo uplo, index_t m,
     for (index_t j = 0; j < n; ++j) beta_scale(&at(c, ldc, 0, j), m, beta);
     return;
   }
-  const index_t ka = side == Side::kLeft ? m : n;
+  // kLeft: the panel is B, packed once; the symmetric expansion happens in
+  // the A-packer, which reads only the stored triangle through sym_at.
+  // kRight: the panel is the expanded symmetric A (n×n), packed once; B
+  // streams through the A-packer unchanged.
+  const bool left = side == Side::kLeft;
+  const index_t ka = left ? m : n;
   const index_t kc = std::min(cfg.ctx.sizes.kc, ka);
   const index_t jw = default_jr_width(n, cfg.ctx.jr_granule);
   ScratchLease storage(PackedB::storage_doubles(ka, n, kc),
                        Scratch::kLevel3PackB);
   PackedB pb(ka, n, kc, jw, storage.data());
-  if (side == Side::kLeft) {
-    // Panel = B, packed once; the symmetric expansion happens in the
-    // A-packer, which reads only the stored triangle through sym_at.
-    pb.pack_rows(
-        0, ka,
-        [&](index_t k0, index_t j0, index_t kcq, index_t w, double* dst) {
-          for (index_t l = 0; l < kcq; ++l)
-            for (index_t j = 0; j < w; ++j)
-              dst[l * w + j] = at(b, ldb, k0 + l, j0 + j);
-        },
-        cfg.ctx, cfg.stats);
-    blocked_gemm_prepacked(
-        m, 0, n, 0, ka, pb, beta, c, ldc, cfg.ctx, cfg.kernel,
-        [&](index_t i0, index_t p0, index_t mc, index_t kcq, double* pa) {
-          for (index_t l = 0; l < kcq; ++l)
-            for (index_t i = 0; i < mc; ++i)
-              pa[l * mc + i] =
-                  alpha * sym_at(a, lda, uplo, i0 + i, p0 + l);
-        },
-        cfg.stats);
-  } else {
-    // Panel = the expanded symmetric A (n×n), packed once; B streams
-    // through the A-packer unchanged.
-    pb.pack_rows(
-        0, ka,
-        [&](index_t k0, index_t j0, index_t kcq, index_t w, double* dst) {
-          for (index_t l = 0; l < kcq; ++l)
-            for (index_t j = 0; j < w; ++j)
-              dst[l * w + j] = sym_at(a, lda, uplo, k0 + l, j0 + j);
-        },
-        cfg.ctx, cfg.stats);
-    blocked_gemm_prepacked(
-        m, 0, n, 0, ka, pb, beta, c, ldc, cfg.ctx, cfg.kernel,
-        [&](index_t i0, index_t p0, index_t mc, index_t kcq, double* pa) {
-          for (index_t l = 0; l < kcq; ++l)
-            for (index_t i = 0; i < mc; ++i)
-              pa[l * mc + i] = alpha * at(b, ldb, i0 + i, p0 + l);
-        },
-        cfg.stats);
-  }
+  const auto sym = [=](index_t i, index_t j) {
+    return sym_at(a, lda, uplo, i, j);
+  };
+  pb.pack_rows(0, ka, left ? panel_writer(dense(b, ldb)) : panel_writer(sym),
+               cfg.ctx, cfg.stats);
+  blocked_gemm_prepacked(
+      m, 0, n, 0, ka, pb, beta, c, ldc, cfg.ctx, cfg.kernel,
+      left ? a_packer(sym, alpha) : a_packer(dense(b, ldb), alpha), cfg.stats);
 }
 
 namespace {
@@ -110,15 +97,11 @@ index_t rank_panel_width(const Level3Config& cfg) {
 
 void pack_rank_panel(PackedB& pb, const RankUpdatePanel& p,
                      const Level3Config& cfg) {
-  pb.pack_rows(
-      0, pb.k(),
-      [&](index_t k0, index_t j0, index_t kcq, index_t w, double* dst) {
-        // Element (l, j) of op(X)^T = op(X)(j, l).
-        for (index_t l = 0; l < kcq; ++l)
-          for (index_t j = 0; j < w; ++j)
-            dst[l * w + j] = op_at(p.x, p.ldx, p.trans, j0 + j, k0 + l);
-      },
-      cfg.ctx, cfg.stats);
+  // Element (l, j) of op(X)^T = op(X)(j, l).
+  pb.pack_rows(0, pb.k(), panel_writer([&p](index_t l, index_t j) {
+                 return op_at(p.x, p.ldx, p.trans, j, l);
+               }),
+               cfg.ctx, cfg.stats);
 }
 
 void rank_update_sweep(const Level3Config& cfg, Uplo uplo, index_t n,
@@ -129,13 +112,11 @@ void rank_update_sweep(const Level3Config& cfg, Uplo uplo, index_t n,
   ScratchLease tmp(static_cast<std::size_t>(nbk * nbk), Scratch::kLevel3TmpA);
   const auto left_packer = [](const RankUpdatePanel& p, index_t row0,
                               double coeff) {
-    return [&p, row0, coeff](index_t i0, index_t p0, index_t mc, index_t kcq,
-                             double* pa) {
-      for (index_t l = 0; l < kcq; ++l)
-        for (index_t i = 0; i < mc; ++i)
-          pa[l * mc + i] =
-              coeff * op_at(p.x, p.ldx, p.trans, row0 + i0 + i, p0 + l);
-    };
+    return a_packer(
+        [&p, row0](index_t i, index_t l) {
+          return op_at(p.x, p.ldx, p.trans, row0 + i, l);
+        },
+        coeff);
   };
   for (index_t bj = 0; bj < n; bj += nbk) {
     const index_t nb = std::min(nbk, n - bj);
@@ -221,66 +202,33 @@ void level3_trmm(const Level3Config& cfg, Side side, Uplo uplo, Trans trans,
     zero_matrix(m, n, b, ldb);
     return;
   }
-  if (side == Side::kLeft) {
-    // B := alpha*op(tri(A))*B as ONE masked prepacked GEMM: B is packed
-    // before the in-place overwrite starts, and the A-packer zeroes
-    // everything outside the effective triangle (tri_at), so no block
-    // decomposition of the triangle is needed.
-    const index_t kc = std::min(cfg.ctx.sizes.kc, m);
-    const index_t jw = default_jr_width(n, cfg.ctx.jr_granule);
-    ScratchLease storage(PackedB::storage_doubles(m, n, kc),
-                         Scratch::kLevel3PackB);
-    PackedB pb(m, n, kc, jw, storage.data());
-    pb.pack_rows(
-        0, m,
-        [&](index_t k0, index_t j0, index_t kcq, index_t w, double* dst) {
-          for (index_t l = 0; l < kcq; ++l)
-            for (index_t j = 0; j < w; ++j)
-              dst[l * w + j] = at(b, ldb, k0 + l, j0 + j);
-        },
-        cfg.ctx, cfg.stats);
-    blocked_gemm_prepacked(
-        m, 0, n, 0, m, pb, 0.0, b, ldb, cfg.ctx, cfg.kernel,
-        [&](index_t i0, index_t p0, index_t mc, index_t kcq, double* pa) {
-          for (index_t l = 0; l < kcq; ++l)
-            for (index_t i = 0; i < mc; ++i)
-              pa[l * mc + i] =
-                  alpha * tri_at(a, lda, uplo, trans, i0 + i, p0 + l);
-        },
-        cfg.stats);
-  } else {
-    // B := alpha*B*op(tri(A)): the masked triangle packs once as the
-    // panel; B must be copied first because it is both the left operand
-    // and the overwritten output across k-chunks.
-    const index_t kc = std::min(cfg.ctx.sizes.kc, n);
-    ScratchLease storage(PackedB::storage_doubles(n, n, kc),
-                         Scratch::kLevel3PackB);
-    ScratchLease copy(static_cast<std::size_t>(m) * static_cast<std::size_t>(n),
-                      Scratch::kLevel3TmpA);
+  // B := alpha*op(tri(A))*B (kLeft) or alpha*B*op(tri(A)) (kRight) as ONE
+  // prepacked GEMM over the whole masked triangle (tri_at zeroes everything
+  // outside it), so no block decomposition of the triangle is needed.
+  // kLeft packs B as the panel before the in-place overwrite starts and
+  // masks the triangle in the A-packer. kRight packs the masked triangle as
+  // the panel; B is both the left operand and the overwritten output across
+  // k-chunks, so the A-packer reads a copy.
+  const bool left = side == Side::kLeft;
+  const index_t ka = left ? m : n;
+  const index_t kc = std::min(cfg.ctx.sizes.kc, ka);
+  ScratchLease storage(PackedB::storage_doubles(ka, n, kc),
+                       Scratch::kLevel3PackB);
+  ScratchLease copy(left ? 0 : static_cast<std::size_t>(m) *
+                                   static_cast<std::size_t>(n),
+                    Scratch::kLevel3TmpA);
+  if (!left)
     for (index_t j = 0; j < n; ++j)
-      for (index_t i = 0; i < m; ++i)
-        copy.data()[j * m + i] = at(b, ldb, i, j);
-    const index_t jw = default_jr_width(n, cfg.ctx.jr_granule);
-    PackedB pb(n, n, kc, jw, storage.data());
-    pb.pack_rows(
-        0, n,
-        [&](index_t k0, index_t j0, index_t kcq, index_t w, double* dst) {
-          for (index_t l = 0; l < kcq; ++l)
-            for (index_t j = 0; j < w; ++j)
-              dst[l * w + j] = tri_at(a, lda, uplo, trans, k0 + l, j0 + j);
-        },
-        cfg.ctx, cfg.stats);
-    double* copied = copy.data();
-    blocked_gemm_prepacked(
-        m, 0, n, 0, n, pb, 0.0, b, ldb, cfg.ctx, cfg.kernel,
-        [copied, m, alpha](index_t i0, index_t p0, index_t mc, index_t kcq,
-                           double* pa) {
-          for (index_t l = 0; l < kcq; ++l)
-            for (index_t i = 0; i < mc; ++i)
-              pa[l * mc + i] = alpha * copied[(p0 + l) * m + (i0 + i)];
-        },
-        cfg.stats);
-  }
+      for (index_t i = 0; i < m; ++i) copy.data()[j * m + i] = at(b, ldb, i, j);
+  PackedB pb(ka, n, kc, default_jr_width(n, cfg.ctx.jr_granule),
+             storage.data());
+  const auto tri = masked_triangle(a, lda, uplo, trans);
+  pb.pack_rows(0, ka, left ? panel_writer(dense(b, ldb)) : panel_writer(tri),
+               cfg.ctx, cfg.stats);
+  blocked_gemm_prepacked(
+      m, 0, n, 0, ka, pb, 0.0, b, ldb, cfg.ctx, cfg.kernel,
+      left ? a_packer(tri, alpha) : a_packer(dense(copy.data(), m), alpha),
+      cfg.stats);
 }
 
 void level3_trsm(const Level3Config& cfg, Side side, Uplo uplo, Trans trans,
@@ -305,12 +253,7 @@ void level3_trsm(const Level3Config& cfg, Side side, Uplo uplo, Trans trans,
                          Scratch::kLevel3PackB);
     const index_t jw = default_jr_width(n, cfg.ctx.jr_granule);
     PackedB solved(m, n, nbk, jw, storage.data());
-    const auto solved_writer = [&](index_t k0, index_t j0, index_t kcq,
-                                   index_t w, double* dst) {
-      for (index_t l = 0; l < kcq; ++l)
-        for (index_t j = 0; j < w; ++j)
-          dst[l * w + j] = at(b, ldb, k0 + l, j0 + j);
-    };
+    const PanelWriter solved_writer = panel_writer(dense(b, ldb));
     const index_t nblk = (m + nbk - 1) / nbk;
     for (index_t step = 0; step < nblk; ++step) {
       const index_t bi = (upper ? nblk - 1 - step : step) * nbk;
@@ -321,16 +264,12 @@ void level3_trsm(const Level3Config& cfg, Side side, Uplo uplo, Trans trans,
         // B_bi -= op(A)(bi, solved) * X(solved, :) from the packed chunks;
         // the coefficient region is strictly inside the effective
         // triangle, hence dense stored data.
-        blocked_gemm_prepacked(
-            mb, 0, n, s0, s1, solved, 1.0, &at(b, ldb, bi, 0), ldb, cfg.ctx,
-            cfg.kernel,
-            [&](index_t i0, index_t p0, index_t mc, index_t kcq, double* pa) {
-              for (index_t l = 0; l < kcq; ++l)
-                for (index_t i = 0; i < mc; ++i)
-                  pa[l * mc + i] =
-                      -op_at(a, lda, trans, bi + i0 + i, p0 + l);
-            },
-            cfg.stats);
+        const auto coeffs = [=](index_t i, index_t l) {
+          return op_at(a, lda, trans, bi + i, l);
+        };
+        blocked_gemm_prepacked(mb, 0, n, s0, s1, solved, 1.0,
+                               &at(b, ldb, bi, 0), ldb, cfg.ctx, cfg.kernel,
+                               a_packer(coeffs, -1.0), cfg.stats);
       }
       // Scalar in-block substitution (the paper's §5 TRSM caveat).
       for (index_t j = 0; j < n; ++j) {
@@ -357,14 +296,8 @@ void level3_trsm(const Level3Config& cfg, Side side, Uplo uplo, Trans trans,
     ScratchLease storage(PackedB::storage_doubles(n, n, nbk),
                          Scratch::kLevel3PackB);
     PackedB tri(n, n, nbk, nbk, storage.data());
-    tri.pack_rows(
-        0, n,
-        [&](index_t k0, index_t j0, index_t kcq, index_t w, double* dst) {
-          for (index_t l = 0; l < kcq; ++l)
-            for (index_t j = 0; j < w; ++j)
-              dst[l * w + j] = tri_at(a, lda, uplo, trans, k0 + l, j0 + j);
-        },
-        cfg.ctx, cfg.stats);
+    tri.pack_rows(0, n, panel_writer(masked_triangle(a, lda, uplo, trans)),
+                  cfg.ctx, cfg.stats);
     const index_t nblk = (n + nbk - 1) / nbk;
     for (index_t step = 0; step < nblk; ++step) {
       const index_t bj = (upper ? step : nblk - 1 - step) * nbk;
@@ -372,15 +305,9 @@ void level3_trsm(const Level3Config& cfg, Side side, Uplo uplo, Trans trans,
       const index_t s0 = upper ? 0 : bj + jb;    // solved column range
       const index_t s1 = upper ? bj : n;
       if (s1 > s0) {
-        blocked_gemm_prepacked(
-            m, bj, bj + jb, s0, s1, tri, 1.0, &at(b, ldb, 0, bj), ldb,
-            cfg.ctx, cfg.kernel,
-            [&](index_t i0, index_t p0, index_t mc, index_t kcq, double* pa) {
-              for (index_t l = 0; l < kcq; ++l)
-                for (index_t i = 0; i < mc; ++i)
-                  pa[l * mc + i] = -at(b, ldb, i0 + i, p0 + l);
-            },
-            cfg.stats);
+        blocked_gemm_prepacked(m, bj, bj + jb, s0, s1, tri, 1.0,
+                               &at(b, ldb, 0, bj), ldb, cfg.ctx, cfg.kernel,
+                               a_packer(dense(b, ldb), -1.0), cfg.stats);
       }
       for (index_t s = 0; s < jb; ++s) {
         const index_t jj = upper ? s : jb - 1 - s;

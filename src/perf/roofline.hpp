@@ -5,8 +5,9 @@
 // testbed's peak GFLOPS); the reporter annotates every BENCH_*.json with
 // the same ceiling so a trajectory can say "82% of peak" instead of a bare
 // number. Peak needs the nominal frequency, which CPUID does not expose
-// portably — the synthetic arches carry it, and the host value can be
-// supplied with AUGEM_NOMINAL_GHZ; without it the reporter records the
+// portably — the synthetic arches carry it, the host takes it from its
+// brand string when that states one ("… @ 2.10GHz"), and otherwise it can
+// be supplied with AUGEM_NOMINAL_GHZ; without it the reporter records the
 // per-cycle ceiling only.
 
 #include "support/arch.hpp"

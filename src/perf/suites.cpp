@@ -130,12 +130,13 @@ BenchReport run_batch_small(const SuiteOptions& options,
   return report;
 }
 
-/// The Level-3 engine (blas/level3.hpp): SYMM, SYRK and TRSM
-/// through the prepacked-panel driver on the generated block kernel, at
-/// dense square sizes. Pessimize mode pairs the scalar GEMM kernel with a
-/// serial context — the two optimizations this suite guards (SIMD block
-/// kernels under the engine, parallel panel GEMMs) — so a normal-config
-/// baseline vs a pessimized run must gate as regressed.
+/// The blocked GEMM driver and the Level-3 engine (blas/level3.hpp) on it:
+/// GEMM, SYMM, SYRK and TRSM through the prepacked-panel driver on the
+/// generated block kernel, at dense square sizes. Pessimize mode pairs the
+/// scalar GEMM kernel with a serial context — the two optimizations this
+/// suite guards (SIMD block kernels under the driver, parallel panel
+/// GEMMs) — so a normal-config baseline vs a pessimized run must gate as
+/// regressed.
 BenchReport run_level3(const SuiteOptions& options, const BenchRunner& runner) {
   KernelSet set = make_suite_kernels(options.pessimize);
   const long d = options.quick ? 128 : 256;
@@ -157,6 +158,13 @@ BenchReport run_level3(const SuiteOptions& options, const BenchRunner& runner) {
   DoubleBuffer c(static_cast<std::size_t>(d * d));
   rng.fill(a.span());
   rng.fill(b.span());
+
+  const Measurement gm = runner.run(gemm_flops(d, d, d), [&] {
+    blas::blocked_gemm(blas::Trans::kNo, blas::Trans::kNo, d, d, d, 1.0,
+                       a.data(), d, b.data(), d, 0.0, c.data(), d, cfg.ctx,
+                       cfg.kernel);
+  });
+  report.rows.push_back(BenchRow::from_measurement(gm, "gemm", d, d, d));
 
   const Measurement sm = runner.run(symm_flops(d, d), [&] {
     blas::level3_symm(cfg, blas::Side::kLeft, blas::Uplo::kLower, d, d, 1.0,

@@ -3,6 +3,8 @@
 #include <cpuid.h>
 
 #include <array>
+#include <cmath>
+#include <cstdlib>
 #include <sstream>
 #include <thread>
 
@@ -116,6 +118,7 @@ std::int64_t cache_bytes_leaf4(int wanted_level) {
 CpuArch detect_host() {
   CpuArch a;
   a.name = brand_string();
+  a.nominal_ghz = brand_nominal_ghz(a.name);
 
   const CpuidRegs f1 = cpuid(1);
   a.has_sse2 = (f1.edx >> 26) & 1;
@@ -154,6 +157,17 @@ CpuArch detect_host() {
 }
 
 }  // namespace
+
+double brand_nominal_ghz(const std::string& brand) {
+  const auto at = brand.rfind('@');
+  if (at == std::string::npos) return 0.0;
+  const char* num = brand.c_str() + at + 1;
+  char* end = nullptr;
+  const double ghz = std::strtod(num, &end);
+  if (end == num || !std::isfinite(ghz) || ghz <= 0.0) return 0.0;
+  while (*end == ' ') ++end;
+  return std::string(end) == "GHz" ? ghz : 0.0;
+}
 
 std::string cpu_signature(const CpuArch& arch) {
   std::ostringstream os;

@@ -73,7 +73,12 @@ struct CpuArch {
 /// and the perf harness's BENCH_*.json reports.)
 std::string cpu_signature(const CpuArch& arch);
 
-/// Detect the host CPU via CPUID (features + cache sizes).
+/// The nominal frequency a CPU brand string states as a trailing
+/// "@ <x>GHz" ("… CPU @ 2.10GHz" → 2.1), or 0 when it states none.
+double brand_nominal_ghz(const std::string& brand);
+
+/// Detect the host CPU via CPUID (features + cache sizes; the nominal
+/// frequency from the brand string).
 const CpuArch& host_arch();
 
 /// A synthetic Intel Sandy Bridge (AVX, no FMA) — the paper's first testbed.

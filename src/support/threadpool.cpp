@@ -57,19 +57,6 @@ void ThreadPool::run(const std::function<void(int)>& fn) {
   }
 }
 
-void ThreadPool::barrier() {
-  if (num_threads_ == 1) return;
-  std::unique_lock<std::mutex> lock(barrier_mutex_);
-  const bool sense = barrier_sense_;
-  if (++barrier_arrived_ == num_threads_) {
-    barrier_arrived_ = 0;
-    barrier_sense_ = !sense;
-    barrier_cv_.notify_all();
-  } else {
-    barrier_cv_.wait(lock, [this, sense] { return barrier_sense_ != sense; });
-  }
-}
-
 void ThreadPool::worker_loop(int tid) {
   std::uint64_t seen = 0;
   for (;;) {

@@ -2,12 +2,12 @@
 // Persistent work-pool threading layer for the blocked BLAS driver.
 //
 // A ThreadPool owns a fixed set of worker threads that survive across
-// submits, so the per-GEMM-call cost is two condition-variable round trips
+// submits, so the per-phase cost is two condition-variable round trips
 // rather than thread creation. `run(fn)` executes fn(tid) on every
 // participant — the calling thread acts as tid 0, the workers as
-// 1..num_threads()-1 — and returns once all of them finished. Inside a
-// running task, `barrier()` synchronizes all participants (used between the
-// cooperative B-panel pack and the C-update phase of the parallel driver).
+// 1..num_threads()-1 — and returns once all of them finished. That return
+// is the only synchronization the driver needs: each phase of a GEMM step
+// (beta sweep, cooperative B-panel pack, C update) is one run.
 //
 // The pool size follows AUGEM_NUM_THREADS when set, else the detected core
 // count — the same knob OpenBLAS exposes for the paper's multi-threaded
@@ -27,7 +27,7 @@ class ThreadPool {
  public:
   /// Spawns num_threads-1 workers (the submitting thread is participant 0).
   /// num_threads must be >= 1; 1 is the degenerate pool that runs every
-  /// task inline with no worker threads and no-op barriers.
+  /// task inline with no worker threads.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
@@ -41,12 +41,6 @@ class ThreadPool {
   /// exception thrown by any participant is rethrown here after the batch
   /// drains. Submitting from inside a running task (nesting) is an error.
   void run(const std::function<void(int)>& fn);
-
-  /// Blocks until all num_threads() participants of the current `run` have
-  /// arrived. Callable only from inside a task; every participant must reach
-  /// every barrier the task executes, or the batch deadlocks. Reusable any
-  /// number of times within and across submits (sense-reversing).
-  void barrier();
 
   /// AUGEM_NUM_THREADS when set to a positive integer, else the detected
   /// core count of the host (always >= 1).
@@ -71,13 +65,6 @@ class ThreadPool {
   bool running_ = false;
   bool stop_ = false;
   std::exception_ptr first_error_;
-
-  // Sense-reversing barrier state (separate lock: barrier traffic must not
-  // contend with the submit handshake).
-  std::mutex barrier_mutex_;
-  std::condition_variable barrier_cv_;
-  int barrier_arrived_ = 0;
-  bool barrier_sense_ = false;
 };
 
 }  // namespace augem

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "blas/reference.hpp"
 #include "support/rng.hpp"
+#include "support/threadpool.hpp"
 
 namespace augem::blas {
 namespace {
@@ -21,28 +24,65 @@ void naive_block_kernel(index_t mc, index_t nc, index_t kc, const double* pa,
     }
 }
 
+/// Random op(A), op(B) and C of one GEMM, with padded leading dimensions.
+struct Operands {
+  index_t lda, ldb, ldc;
+  std::vector<double> a, b, c;
+};
+
+Operands random_operands(Trans ta, Trans tb, index_t m, index_t n, index_t k,
+                         unsigned seed) {
+  Operands o;
+  o.lda = (ta == Trans::kNo ? m : k) + 2;
+  o.ldb = (tb == Trans::kNo ? k : n) + 1;
+  o.ldc = m + 3;
+  o.a.resize(static_cast<std::size_t>(o.lda * (ta == Trans::kNo ? k : m)));
+  o.b.resize(static_cast<std::size_t>(o.ldb * (tb == Trans::kNo ? n : k)));
+  o.c.resize(static_cast<std::size_t>(o.ldc * n));
+  Rng rng(seed);
+  rng.fill(o.a);
+  rng.fill(o.b);
+  rng.fill(o.c);
+  return o;
+}
+
 void check_driver(Trans ta, Trans tb, index_t m, index_t n, index_t k,
                   double alpha, double beta, const BlockSizes& sizes,
                   unsigned seed) {
-  Rng rng(seed);
-  const index_t lda = (ta == Trans::kNo ? m : k) + 2;
-  const index_t ldb = (tb == Trans::kNo ? k : n) + 1;
-  const index_t ldc = m + 3;
-  std::vector<double> a(static_cast<std::size_t>(lda * (ta == Trans::kNo ? k : m)));
-  std::vector<double> b(static_cast<std::size_t>(ldb * (tb == Trans::kNo ? n : k)));
-  std::vector<double> c(static_cast<std::size_t>(ldc * n));
-  rng.fill(a);
-  rng.fill(b);
-  rng.fill(c);
-  std::vector<double> c_ref = c;
+  Operands o = random_operands(ta, tb, m, n, k, seed);
+  std::vector<double> c_ref = o.c;
 
-  blocked_gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
-               c.data(), ldc, sizes, naive_block_kernel);
-  ref::gemm(ta, tb, m, n, k, alpha, a.data(), lda, b.data(), ldb, beta,
-            c_ref.data(), ldc);
+  blocked_gemm(ta, tb, m, n, k, alpha, o.a.data(), o.lda, o.b.data(), o.ldb,
+               beta, o.c.data(), o.ldc, serial_gemm_context(sizes),
+               naive_block_kernel);
+  ref::gemm(ta, tb, m, n, k, alpha, o.a.data(), o.lda, o.b.data(), o.ldb, beta,
+            c_ref.data(), o.ldc);
   const double tol = 1e-11 * static_cast<double>(k > 0 ? k : 1);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    ASSERT_NEAR(c[i], c_ref[i], tol) << i;
+  for (std::size_t i = 0; i < o.c.size(); ++i)
+    ASSERT_NEAR(o.c[i], c_ref[i], tol) << i;
+}
+
+/// The summation order the macro loop keeps under every decomposition: C
+/// is beta-scaled once, then each kc chunk, in pc order, adds its ordered
+/// sum of (alpha·op(A)(i,l))·op(B)(l,j) — what naive_block_kernel computes
+/// over the alpha-folded packed panels.
+void kc_ordered_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
+                     double alpha, const Operands& o, double beta, index_t kc,
+                     std::vector<double>& c) {
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      double& cij = at(c.data(), o.ldc, i, j);
+      cij = beta == 0.0 ? 0.0 : beta == 1.0 ? cij : cij * beta;
+    }
+  for (index_t pc = 0; pc < k; pc += kc)
+    for (index_t j = 0; j < n; ++j)
+      for (index_t i = 0; i < m; ++i) {
+        double acc = 0.0;
+        for (index_t l = pc; l < std::min(k, pc + kc); ++l)
+          acc += (alpha * op_at(o.a.data(), o.lda, ta, i, l)) *
+                 op_at(o.b.data(), o.ldb, tb, l, j);
+        at(c.data(), o.ldc, i, j) += acc;
+      }
 }
 
 TEST(Driver, DefaultBlockSizesFitCaches) {
@@ -105,6 +145,44 @@ TEST(Driver, DegenerateSizes) {
 
 TEST(Driver, AlphaZeroOnlyScalesC) {
   check_driver(Trans::kNo, Trans::kNo, 6, 6, 6, 0.0, 0.5, {8, 8, 8}, 12);
+}
+
+TEST(Driver, MatchesKcOrderedSumsBitForBit) {
+  // Pins the order a rewrite of the macro loop must keep, serial and on a
+  // 3-thread pool. Both shapes cross mc, nc and kc; the 20-row one has
+  // fewer row blocks than threads, so the threaded run splits jr.
+  const BlockSizes sizes{16, 24, 8};
+  ThreadPool pool(3);
+  GemmContext threaded = serial_gemm_context(sizes);
+  threaded.pool = &pool;
+  threaded.threads = 3;
+  const Trans transes[] = {Trans::kNo, Trans::kYes};
+  struct Shape {
+    index_t m, n, k;
+  };
+  unsigned seed = 200;
+  for (const Shape& s : {Shape{20, 37, 29}, Shape{45, 19, 17}})
+    for (const Trans ta : transes)
+      for (const Trans tb : transes)
+        for (const double beta : {0.0, 1.0, -0.5}) {
+          const Operands o = random_operands(ta, tb, s.m, s.n, s.k, ++seed);
+          std::vector<double> expect = o.c;
+          kc_ordered_gemm(ta, tb, s.m, s.n, s.k, -1.75, o, beta, sizes.kc,
+                          expect);
+          for (const GemmContext& ctx :
+               {serial_gemm_context(sizes), threaded}) {
+            std::vector<double> c = o.c;
+            blocked_gemm(ta, tb, s.m, s.n, s.k, -1.75, o.a.data(), o.lda,
+                         o.b.data(), o.ldb, beta, c.data(), o.ldc, ctx,
+                         naive_block_kernel);
+            ASSERT_EQ(0, std::memcmp(c.data(), expect.data(),
+                                     c.size() * sizeof(double)))
+                << "m=" << s.m << " n=" << s.n << " k=" << s.k
+                << " ta=" << (ta == Trans::kYes)
+                << " tb=" << (tb == Trans::kYes) << " beta=" << beta
+                << " threads=" << ctx.threads;
+          }
+        }
 }
 
 }  // namespace

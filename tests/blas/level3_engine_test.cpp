@@ -300,21 +300,27 @@ TEST(Level3EngineStats, SymmPacksEachPanelChunkExactlyOnce) {
   rng.fill(a);
   rng.fill(b);
   rng.fill(c);
-  Level3Stats stats;
-  Level3Config cfg;
-  cfg.ctx = serial_gemm_context(tiny_sizes());
-  cfg.kernel = naive_block;
-  cfg.block = 16;
-  cfg.stats = &stats;
-  level3_symm(cfg, Side::kLeft, Uplo::kLower, m, n, 1.0, a.data(), m, b.data(),
-              m, 0.0, c.data(), m);
-  // B is k×n = 48×24 at kc=6 → 8 k-chunks; every chunk packs exactly once
-  // and is consumed by all six mc row blocks (m/mc = 48/8).
-  const std::int64_t jchunks =
-      (n + default_jr_width(n, cfg.ctx.jr_granule) - 1) /
-      default_jr_width(n, cfg.ctx.jr_granule);
-  EXPECT_EQ(stats.panels_packed, 8 * jchunks);
-  EXPECT_EQ(stats.panel_reuses, 8 * jchunks * (48 / 8 - 1));
+  // The threaded context packs every chunk in per-participant row slices;
+  // the count stays one per chunk.
+  for (const GemmContext& ctx : {serial_gemm_context(tiny_sizes()),
+                                 threaded_gemm_context(tiny_sizes())}) {
+    SCOPED_TRACE(ctx.threads);
+    Level3Stats stats;
+    Level3Config cfg;
+    cfg.ctx = ctx;
+    cfg.kernel = naive_block;
+    cfg.block = 16;
+    cfg.stats = &stats;
+    level3_symm(cfg, Side::kLeft, Uplo::kLower, m, n, 1.0, a.data(), m,
+                b.data(), m, 0.0, c.data(), m);
+    // B is k×n = 48×24 at kc=6 → 8 k-chunks; every chunk packs exactly
+    // once and is consumed by all six mc row blocks (m/mc = 48/8).
+    const std::int64_t jchunks =
+        (n + default_jr_width(n, cfg.ctx.jr_granule) - 1) /
+        default_jr_width(n, cfg.ctx.jr_granule);
+    EXPECT_EQ(stats.panels_packed, 8 * jchunks);
+    EXPECT_EQ(stats.panel_reuses, 8 * jchunks * (48 / 8 - 1));
+  }
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ TEST(ParallelGemm, ContextClampsToPoolSize) {
 
   ThreadPool big_pool(4);
   ctx.pool = &big_pool;
-  ctx.threads = 2;  // fewer than the pool: tids 2..3 idle through barriers
+  ctx.threads = 2;  // fewer than the pool: tids 2..3 idle in every run
   std::vector<double> c2(static_cast<std::size_t>(m * n), 0.0);
   blocked_gemm(Trans::kNo, Trans::kNo, m, n, k, 1.0, a.data(), m, b.data(), k,
                0.0, c2.data(), m, ctx, naive_block_kernel);

@@ -38,6 +38,17 @@ TEST(Arch, HostDetectionIsSane) {
   EXPECT_TRUE(a.supports(a.best_native_isa()));
 }
 
+TEST(Arch, BrandStringStatesNominalFrequency) {
+  EXPECT_DOUBLE_EQ(brand_nominal_ghz("Intel(R) Xeon(R) Processor @ 2.70GHz"),
+                   2.7);
+  EXPECT_DOUBLE_EQ(
+      brand_nominal_ghz("Intel(R) Core(TM) i7-8700 CPU @ 3.20GHz"), 3.2);
+  EXPECT_EQ(brand_nominal_ghz("Intel(R) Xeon(R) Processor"), 0.0);
+  EXPECT_EQ(brand_nominal_ghz("AMD EPYC 7B12 64-Core Processor"), 0.0);
+  // The host's frequency is whatever its brand string states.
+  EXPECT_EQ(host_arch().nominal_ghz, brand_nominal_ghz(host_arch().name));
+}
+
 TEST(Arch, NativeIsasAreOrderedAndSupported) {
   const CpuArch& a = host_arch();
   for (Isa isa : a.native_isas()) EXPECT_TRUE(a.supports(isa));

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <vector>
 
 #include "support/error.hpp"
@@ -30,44 +29,6 @@ TEST(ThreadPool, ReusableAcrossSubmits) {
   EXPECT_EQ(total.load(), 100 * (1 + 2 + 3));
 }
 
-TEST(ThreadPool, BarrierSeparatesPhases) {
-  // Each participant writes its slot, barriers, then reads every other
-  // slot: without a correct barrier some thread observes a stale zero.
-  ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<int> written(4, 0);
-    std::vector<long> sums(4, -1);
-    pool.run([&](int tid) {
-      written[static_cast<std::size_t>(tid)] = tid + 1;
-      pool.barrier();
-      sums[static_cast<std::size_t>(tid)] =
-          std::accumulate(written.begin(), written.end(), 0L);
-    });
-    for (long s : sums) EXPECT_EQ(s, 1 + 2 + 3 + 4) << "round " << round;
-  }
-}
-
-TEST(ThreadPool, BarrierIsReusableWithinOneSubmit) {
-  // Sense reversal: many consecutive barriers in a single task must each
-  // separate the phases around them.
-  ThreadPool pool(3);
-  constexpr int kPhases = 20;
-  std::vector<std::vector<int>> phase_counts(
-      kPhases, std::vector<int>(3, 0));
-  std::atomic<bool> ok{true};
-  pool.run([&](int tid) {
-    for (int p = 0; p < kPhases; ++p) {
-      phase_counts[static_cast<std::size_t>(p)][static_cast<std::size_t>(tid)] = 1;
-      pool.barrier();
-      int seen = 0;
-      for (int v : phase_counts[static_cast<std::size_t>(p)]) seen += v;
-      if (seen != 3) ok = false;
-      pool.barrier();
-    }
-  });
-  EXPECT_TRUE(ok.load());
-}
-
 TEST(ThreadPool, SingleThreadDegenerateRunsInline) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1);
@@ -75,8 +36,6 @@ TEST(ThreadPool, SingleThreadDegenerateRunsInline) {
   pool.run([&](int tid) {
     EXPECT_EQ(tid, 0);
     ++calls;
-    pool.barrier();  // must be a no-op, not a deadlock
-    pool.barrier();
   });
   EXPECT_EQ(calls, 1);
 }
