@@ -1,7 +1,9 @@
 // Ablation: the paper's two SIMD vectorization strategies (§3.4).
 // Vdup (Vld-Vdup-Vmul-Vadd) vs Shuf (Vld-Vld + Shufi rotations) on the
 // n×n register tile where both are legal, plus Vdup on its preferred
-// larger tile — showing why kernels pick one strategy per machine.
+// larger tile — showing why kernels pick one strategy per machine. Every
+// case reads row-panel B, the only layout where both strategies are legal
+// (the driver packs column-major B and serves Vdup only).
 
 #include "common.hpp"
 #include "kernel_bench.hpp"
@@ -15,6 +17,7 @@ int main() {
   const int w = isa_vector_doubles(isa);
   SuiteReporter reporter("ablation_vdup_shuf");
   GemmKernelBench bench;
+  bench.layout = frontend::BLayout::kRowPanel;
 
   struct Case {
     const char* label;

@@ -20,6 +20,8 @@ struct GemmKernelBench {
   long mc = 384;
   long nc = 384;
   long kc = 256;
+  /// Packed-B layout; defaults to the one the driver serves.
+  frontend::BLayout layout = GenerateOptions{}.layout;
 
   /// MFLOPS of the generated GEMM kernel for this config; 0 if infeasible.
   /// With a reporter, the point is also recorded as a trajectory row named
@@ -31,6 +33,7 @@ struct GemmKernelBench {
       GenerateOptions o;
       o.params = params;
       o.config = config;
+      o.layout = layout;
       const auto gen = generate_kernel(frontend::KernelKind::kGemm, o);
       const jit::CompiledModule mod = jit::assemble(gen.asm_text);
       auto* fn = mod.fn<void(long, long, long, const double*, const double*,

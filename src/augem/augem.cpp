@@ -117,6 +117,9 @@ void KernelSet::build(Isa isa, const CGenParams& gemm_params,
   AUGEM_CHECK(host_arch().supports(isa),
               isa_name(isa) << " is not natively executable on this host; "
                                "use the VM for that ISA");
+  AUGEM_CHECK(gemm_strategy != VecStrategy::kShuf,
+              "the Shuf GEMM strategy needs row-panel B, but the blocked "
+              "driver packs B column-major (BLayout::kColMajor)");
   isa_ = isa;
   gemm_mr_ = gemm_params.mr;
   gemm_nr_ = gemm_params.nr;

@@ -21,11 +21,13 @@
 
 namespace augem {
 
-/// Everything needed to generate one kernel.
+/// Everything needed to generate one kernel. The layout defaults to the
+/// one the blocked driver packs B in (blas/pack.hpp), so every GEMM kernel
+/// built from defaults — KernelSet, the runtime, the tuner — can be served.
 struct GenerateOptions {
   transform::CGenParams params;
   opt::OptConfig config;
-  frontend::BLayout layout = frontend::BLayout::kRowPanel;
+  frontend::BLayout layout = frontend::BLayout::kColMajor;
 };
 
 /// Sensible per-ISA defaults (the configurations the tuner usually picks).
@@ -73,7 +75,9 @@ class KernelSet {
 
   /// Generates and compiles all four kernels for `isa` with per-kernel
   /// options (defaults when not overridden). The ISA must be natively
-  /// executable on this host.
+  /// executable on this host. The GEMM kernel reads the driver's
+  /// column-major packed B, so `gemm_strategy` cannot be Shuf, which needs
+  /// row-panel B.
   explicit KernelSet(Isa isa);
   KernelSet(Isa isa, const transform::CGenParams& gemm_params,
             opt::VecStrategy gemm_strategy,

@@ -55,50 +55,54 @@ blas::BlockKernel padded_gemm_block_kernel(GemmBlockFn fn, index_t mr,
   return [fn = std::move(fn), mr, nr](index_t mc, index_t nc, index_t kc,
                                       const double* pa, const double* pb,
                                       double* cc, index_t ldcc) {
-    if (mc % mr == 0 && nc % nr == 0) {
+    const index_t mp = (mc + mr - 1) / mr * mr;
+    const index_t n0 = nc / nr * nr;  // the tile-aligned column prefix
+    if (mp == mc && n0 == nc) {
       fn(mc, nc, kc, pa, pb, cc, ldcc);
       return;
     }
-    // Edge block: the Fig.-12 kernel ABI uses mc/nc both as loop bounds
-    // and as the packed strides, so a partial tile is run on zero-padded
-    // copies and accumulated back. Rare at benchmark sizes; correctness
-    // matters more than speed here. The pads live in per-thread scratch —
-    // the threaded driver calls this block kernel concurrently. An operand
-    // that is already tile-aligned keeps its original packed panel (the
-    // stride only changes when padding actually widens the block).
-    const index_t mp = (mc + mr - 1) / mr * mr;
-    const index_t np = (nc + nr - 1) / nr * nr;
+    // Edge block. The Fig.-12 kernel ABI uses mc both as a loop bound and
+    // as the packed A stride, so ragged rows run on a zero-padded copy of
+    // A. Packed B is column-major with stride kc whatever nc is, so its
+    // nr-aligned column prefix is read in place and only the < nr trailing
+    // columns run on a zero-padded copy. The pads live in per-thread
+    // scratch — the threaded driver calls this block kernel concurrently.
     const double* ka = pa;
-    const double* kb = pb;
     if (mp != mc) {
       double* pad_a = scratch_doubles(static_cast<std::size_t>(mp * kc),
                                       Scratch::kGemmPadA);
       for (index_t l = 0; l < kc; ++l) {
-        for (index_t i = 0; i < mc; ++i) pad_a[l * mp + i] = pa[l * mc + i];
+        std::copy_n(pa + l * mc, mc, pad_a + l * mp);
         std::fill(pad_a + l * mp + mc, pad_a + (l + 1) * mp, 0.0);
       }
       ka = pad_a;
     }
-    if (np != nc) {
-      double* pad_b = scratch_doubles(static_cast<std::size_t>(np * kc),
-                                      Scratch::kGemmPadB);
-      for (index_t l = 0; l < kc; ++l) {
-        for (index_t j = 0; j < nc; ++j) pad_b[l * np + j] = pb[l * nc + j];
-        std::fill(pad_b + l * np + nc, pad_b + (l + 1) * np, 0.0);
+    // Adds ka times the np-column B operand kb into the mc×w window of C
+    // at c. A kernel that would write past the window accumulates into a
+    // zeroed scratch C whose window is then *added* to C — never assigned
+    // — because the driver has already applied beta to all of C before
+    // any block kernel runs.
+    const auto run = [&](index_t np, const double* kb, double* c, index_t w) {
+      if (mp == mc && np == w) {
+        fn(mc, np, kc, ka, kb, c, ldcc);
+        return;
       }
-      kb = pad_b;
+      double* pad_c = scratch_doubles(static_cast<std::size_t>(mp * np),
+                                      Scratch::kGemmPadC);
+      std::fill(pad_c, pad_c + mp * np, 0.0);
+      fn(mp, np, kc, ka, kb, pad_c, mp);
+      for (index_t j = 0; j < w; ++j)
+        for (index_t i = 0; i < mc; ++i)
+          at(c, ldcc, i, j) += pad_c[j * mp + i];
+    };
+    if (n0 > 0) run(n0, pb, cc, n0);
+    if (n0 < nc) {
+      double* pad_b = scratch_doubles(static_cast<std::size_t>(nr * kc),
+                                      Scratch::kGemmPadB);
+      std::copy_n(pb + n0 * kc, (nc - n0) * kc, pad_b);
+      std::fill(pad_b + (nc - n0) * kc, pad_b + nr * kc, 0.0);
+      run(nr, pad_b, &at(cc, ldcc, 0, n0), nc - n0);
     }
-    // C pad: zero-initialized so the kernel's accumulation yields exactly
-    // the block product; the mc×nc window is then *added* to C — never
-    // assigned — because the driver has already applied beta to all of C
-    // (including this block) before any block kernel runs.
-    double* pad_c = scratch_doubles(static_cast<std::size_t>(mp * np),
-                                    Scratch::kGemmPadC);
-    std::fill(pad_c, pad_c + mp * np, 0.0);
-    fn(mp, np, kc, ka, kb, pad_c, mp);
-    for (index_t j = 0; j < nc; ++j)
-      for (index_t i = 0; i < mc; ++i)
-        at(cc, ldcc, i, j) += pad_c[j * mp + i];
   };
 }
 

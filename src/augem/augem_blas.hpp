@@ -14,19 +14,20 @@
 namespace augem {
 
 /// A GEMM block function with the generated Fig.-12 kernel contract:
-/// C(mc×nc, ldc) += PA(mc×kc) * PB(kc×nc) over packed panels, where mc/nc
-/// serve both as loop bounds and as the packed strides, so the caller must
-/// guarantee mc % mr == 0 and nc % nr == 0. Matches KernelSet::GemmFn but
-/// also admits non-native executors (the machine-IR VM in the differential
-/// harness).
+/// C(mc×nc, ldc) += PA(mc×kc) * PB(kc×nc) over packed panels (blas/pack.hpp:
+/// A column-major with stride mc, B column-major with stride kc), where mc
+/// and nc are the loop bounds, so the caller must guarantee mc % mr == 0
+/// and nc % nr == 0. Matches KernelSet::GemmFn but also admits non-native
+/// executors (the machine-IR VM in the differential harness).
 using GemmBlockFn = std::function<void(long mc, long nc, long kc,
                                        const double* pa, const double* pb,
                                        double* c, long ldc)>;
 
 /// Wraps a tile-aligned GEMM block function into a driver BlockKernel that
-/// accepts arbitrary mc/nc ≥ 1: partial tiles run on zero-padded copies in
-/// per-thread scratch (sized ⌈mc/mr⌉·mr × kc and ⌈nc/nr⌉·nr × kc) and the
-/// mc×nc window of the padded C accumulator is added back. The wrapper is
+/// accepts arbitrary mc/nc ≥ 1. The nr-aligned column prefix of B is read
+/// in place; ragged A rows (⌈mc/mr⌉·mr × kc) and the < nr trailing B
+/// columns (kc × nr) run on zero-padded copies in per-thread scratch, and
+/// the window of a padded C accumulator is added back. The wrapper is
 /// accumulate-only — beta must already have been applied by the driver —
 /// and is reentrant: the threaded driver calls it concurrently.
 blas::BlockKernel padded_gemm_block_kernel(GemmBlockFn fn, blas::index_t mr,

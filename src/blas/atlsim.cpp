@@ -26,16 +26,17 @@ void block_kernel_c(index_t mc, index_t nc, index_t kc, const double* pa,
       double r02 = 0, r12 = 0, r22 = 0, r32 = 0;
       double r03 = 0, r13 = 0, r23 = 0, r33 = 0;
       const double* ap = pa + i;
-      const double* bp = pb + j;
+      const double* bp = pb + j * kc;
       for (index_t l = 0; l < kc; ++l) {
         const double a0 = ap[0], a1 = ap[1], a2 = ap[2], a3 = ap[3];
-        const double b0 = bp[0], b1 = bp[1], b2 = bp[2], b3 = bp[3];
+        const double b0 = bp[0], b1 = bp[kc], b2 = bp[2 * kc],
+                     b3 = bp[3 * kc];
         r00 += a0 * b0; r10 += a1 * b0; r20 += a2 * b0; r30 += a3 * b0;
         r01 += a0 * b1; r11 += a1 * b1; r21 += a2 * b1; r31 += a3 * b1;
         r02 += a0 * b2; r12 += a1 * b2; r22 += a2 * b2; r32 += a3 * b2;
         r03 += a0 * b3; r13 += a1 * b3; r23 += a2 * b3; r33 += a3 * b3;
         ap += mc;
-        bp += nc;
+        ++bp;
       }
       double* c0 = &at(c, ldc, i, j);
       double* c1 = &at(c, ldc, i, j + 1);
@@ -51,7 +52,7 @@ void block_kernel_c(index_t mc, index_t nc, index_t kc, const double* pa,
     const index_t i0 = j < n_main ? m_main : 0;
     for (index_t i = i0; i < mc; ++i) {
       double acc = 0.0;
-      for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[l * nc + j];
+      for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[j * kc + l];
       at(c, ldc, i, j) += acc;
     }
   }

@@ -14,8 +14,12 @@ BlockSizes default_block_sizes(const CpuArch& arch) {
   // must sit in L1 with room to spare; 256 on a 32KB L1 (the value the
   // paper's testbeds and OpenBLAS use on this CPU class).
   s.kc = std::clamp<index_t>(arch.l1d_bytes / (8 * 16), 64, 256);
-  // mc: the packed mc×kc A block targets half of L2.
-  s.mc = std::clamp<index_t>(arch.l2_bytes / 2 / (8 * s.kc), 32, 512);
+  // mc: the packed mc×kc A block targets half of L2, up to kMaxMc rows.
+  // Each k step of a register tile jumps mc*8 bytes in packed A: on a 2 MB
+  // L2 the uncapped 512 rows ran gemm_large 20% slower than caps of 96 to
+  // 256, which tie (EXPERIMENTS.md, "Cap on the A block height mc").
+  constexpr index_t kMaxMc = 128;
+  s.mc = std::clamp<index_t>(arch.l2_bytes / 2 / (8 * s.kc), 32, kMaxMc);
   // Round to friendly multiples of the largest register tile we generate.
   s.kc = s.kc / 8 * 8;
   s.mc = s.mc / 8 * 8;
@@ -196,17 +200,19 @@ void PackedB::pack_rows(index_t k0, index_t k1, const PanelWriter& writer,
   if (q0 * kc_ != k0 || (k1 != k_ && q1 * kc_ != k1) || k0 > k1 || k1 > k_)
     fail_check("pack_rows range is not chunk-aligned", k0, k1);
   if (k1 <= k0) return;
-  // Participant tid of T writes rows [rows*tid/T, rows*(tid+1)/T) of every
-  // chunk in range: disjoint slices that tile the range.
+  // Participant tid of T writes columns [w*tid/T, w*(tid+1)/T) of every
+  // chunk in range: disjoint column slices, each contiguous in the
+  // column-major chunk, that tile the range.
   for_each_participant(ctx, [=, this, &writer](index_t tid, index_t T) {
     for (index_t qk = q0; qk < q1; ++qk) {
       const index_t rows = chunk_rows(qk);
-      const index_t l0 = rows * tid / T;
-      const index_t l1 = rows * (tid + 1) / T;
-      if (l1 <= l0) continue;
       for (index_t qj = 0; qj < jchunks_; ++qj) {
         const index_t w = chunk_cols(qj);
-        writer(qk * kc_ + l0, qj * jw_, l1 - l0, w, chunk(qk, qj) + l0 * w);
+        const index_t j0 = w * tid / T;
+        const index_t j1 = w * (tid + 1) / T;
+        if (j1 > j0)
+          writer(qk * kc_, qj * jw_ + j0, rows, j1 - j0,
+                 chunk(qk, qj) + j0 * rows);
       }
     }
   });

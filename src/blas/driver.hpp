@@ -24,7 +24,9 @@ struct BlockSizes {
 
 /// Derives block sizes from the cache hierarchy: kc*8 bytes of a B column
 /// must leave room in L1 beside the A micro-panel; mc*kc doubles of packed
-/// A target half of L2; the kc×nc packed B panel targets half of the LLC.
+/// A target half of L2, but mc stops at 128 rows so the packed A block's
+/// column stride (mc*8 bytes, one jump per k step of every register tile)
+/// stays 1 KB; the kc×nc packed B panel targets half of the LLC.
 BlockSizes default_block_sizes(const CpuArch& arch);
 
 /// C(mc×nc, ldc) += PA * PB over packed panels (see blas/pack.hpp for the
@@ -39,7 +41,7 @@ using BlockKernel =
 ///
 /// With threads == 1 (or no pool) every phase of the driver runs on the
 /// caller. Otherwise the BLIS-style 2D decomposition is used: all
-/// participants pack each B panel (a row slice of every chunk each) —
+/// participants pack each B panel (a column slice of every chunk each) —
 /// shared read-only afterwards — then split the (ic block × jr chunk) grid
 /// round-robin, each thread packing its A blocks into per-thread scratch;
 /// blocked_gemm cuts its panels into jr chunks only when C has fewer ic
@@ -108,10 +110,11 @@ void blocked_gemm(Trans ta, Trans tb, index_t m, index_t n, index_t k,
 // are shared. pack_a_block/pack_b_block (blas/pack.hpp) and the two
 // helpers below are the only code that writes the packed layout.
 
-/// Writes one packed sub-panel in kernel layout: dst[l*w + j] must become
-/// logical element (k0 + l, j0 + j) of the panel operand, l < kc, j < w.
-/// The writer abstracts the source (a plain matrix, a symmetric expansion,
-/// a masked triangle, the in-solve B…).
+/// Writes one packed sub-panel in kernel layout, column-major with leading
+/// dimension kc: dst[j*kc + l] must become logical element (k0 + l, j0 + j)
+/// of the panel operand, l < kc, j < w. The writer abstracts the source (a
+/// plain matrix, a symmetric expansion, a masked triangle, the in-solve
+/// B…).
 using PanelWriter = std::function<void(index_t k0, index_t j0, index_t kc,
                                        index_t w, double* dst)>;
 
@@ -125,8 +128,8 @@ using APacker = std::function<void(index_t i0, index_t p0, index_t mc,
 template <class Elem>
 PanelWriter panel_writer(Elem elem) {
   return [elem](index_t k0, index_t j0, index_t kc, index_t w, double* dst) {
-    for (index_t l = 0; l < kc; ++l)
-      for (index_t j = 0; j < w; ++j) dst[l * w + j] = elem(k0 + l, j0 + j);
+    for (index_t j = 0; j < w; ++j)
+      for (index_t l = 0; l < kc; ++l) dst[j * kc + l] = elem(k0 + l, j0 + j);
   };
 }
 
@@ -148,14 +151,15 @@ struct Level3Stats {
   std::int64_t panel_reuses = 0;   ///< kernel consumptions beyond the first
 };
 
-/// A k×n panel packed once into the block kernel's row-panel layout and
-/// consumed by many blocked_gemm_prepacked calls. Storage is chunked:
+/// A k×n panel packed once into the block kernel's column-major layout
+/// and consumed by many blocked_gemm_prepacked calls. Storage is chunked:
 /// k-chunks of `kc` rows, each split into column chunks of `jw` columns
 /// (the jr tiling, fixed at pack time so serial and threaded consumers see
 /// identical kernel-call boundaries — the bit-identity condition of the
 /// threaded driver). Chunk (qk, qj) lives at
-/// data + qk*kc*n + rows(qk)*qj*jw with row stride min(jw, n - qj*jw).
-/// The storage pointer is borrowed (a scratch buffer).
+/// data + qk*kc*n + rows(qk)*qj*jw, column-major with leading dimension
+/// rows(qk) = chunk_rows(qk). The storage pointer is borrowed (a scratch
+/// buffer).
 class PackedB {
  public:
   PackedB(index_t k, index_t n, index_t kc, index_t jw, double* storage);
@@ -165,8 +169,8 @@ class PackedB {
 
   /// Packs rows [k0, k1) of the panel through `writer`. The range must
   /// cover whole k-chunks (k0 aligned; k1 aligned or == k). With a
-  /// threaded ctx every participant writes its row slice of every chunk,
-  /// so even a one-chunk panel packs on all threads.
+  /// threaded ctx every participant writes its column slice of every
+  /// chunk, so even a one-chunk panel packs on all threads.
   void pack_rows(index_t k0, index_t k1, const PanelWriter& writer,
                  const GemmContext& ctx, Level3Stats* stats = nullptr);
 

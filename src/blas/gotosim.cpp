@@ -30,8 +30,8 @@ void block_kernel_sse(index_t mc, index_t nc, index_t kc, const double* pa,
       for (index_t l = 0; l < kc; ++l) {
         const __m128d a0 = _mm_loadu_pd(pa + l * mc + i);
         const __m128d a1 = _mm_loadu_pd(pa + l * mc + i + 2);
-        const __m128d b0 = _mm_loaddup_pd(pb + l * nc + j);
-        const __m128d b1 = _mm_loaddup_pd(pb + l * nc + j + 1);
+        const __m128d b0 = _mm_loaddup_pd(pb + j * kc + l);
+        const __m128d b1 = _mm_loaddup_pd(pb + (j + 1) * kc + l);
         c00 = _mm_add_pd(c00, _mm_mul_pd(a0, b0));
         c10 = _mm_add_pd(c10, _mm_mul_pd(a1, b0));
         c01 = _mm_add_pd(c01, _mm_mul_pd(a0, b1));
@@ -50,7 +50,7 @@ void block_kernel_sse(index_t mc, index_t nc, index_t kc, const double* pa,
     const index_t i0 = j < n_main ? m_main : 0;
     for (index_t i = i0; i < mc; ++i) {
       double acc = 0.0;
-      for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[l * nc + j];
+      for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[j * kc + l];
       at(c, ldc, i, j) += acc;
     }
   }

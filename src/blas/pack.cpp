@@ -1,5 +1,7 @@
 #include "blas/pack.hpp"
 
+#include <algorithm>
+
 namespace augem::blas {
 
 void pack_a_block(Trans ta, const double* a, index_t lda, index_t i0,
@@ -24,14 +26,20 @@ void pack_a_block(Trans ta, const double* a, index_t lda, index_t i0,
 void pack_b_block(Trans tb, const double* b, index_t ldb, index_t k0,
                   index_t j0, index_t kc, index_t nc, double* pb) {
   if (tb == Trans::kNo) {
+    // Source and packed columns are both contiguous: one copy per column.
+    for (index_t j = 0; j < nc; ++j)
+      std::copy_n(&at(b, ldb, k0, j0 + j), kc, pb + j * kc);
+    return;
+  }
+  // op(B)(l, j) = B(j, l): the source runs along j, the packed block along
+  // l. Strips of 8 k-rows fill each 64-byte packed line in one visit
+  // instead of revisiting it once per row.
+  constexpr index_t kStrip = 8;
+  for (index_t l0 = 0; l0 < kc; l0 += kStrip) {
+    const index_t l1 = std::min(kc, l0 + kStrip);
     for (index_t j = 0; j < nc; ++j) {
-      const double* src = &at(b, ldb, k0, j0 + j);
-      for (index_t l = 0; l < kc; ++l) pb[l * nc + j] = src[l];
-    }
-  } else {
-    for (index_t l = 0; l < kc; ++l) {
-      double* dst = pb + l * nc;
-      for (index_t j = 0; j < nc; ++j) dst[j] = at(b, ldb, j0 + j, k0 + l);
+      double* dst = pb + j * kc;
+      for (index_t l = l0; l < l1; ++l) dst[l] = at(b, ldb, j0 + j, k0 + l);
     }
   }
 }

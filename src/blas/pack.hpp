@@ -6,9 +6,11 @@
 // The generated (and baseline) block kernels consume:
 //   * packed A: an mc×kc block stored column-major with leading dimension
 //     exactly mc — element (i, l) at pa[l*mc + i]. Alpha is folded in here.
-//   * packed B: a kc×nc block stored row-major — element (l, j) at
-//     pb[l*nc + j] — making the unrolled j elements contiguous, which both
-//     of the paper's vectorization strategies rely on (BLayout::kRowPanel).
+//   * packed B: a kc×nc block stored column-major with leading dimension
+//     exactly kc — element (l, j) at pb[j*kc + l], the paper's Fig. 12
+//     (BLayout::kColMajor). Every column is one contiguous kc-deep sliver,
+//     so each register tile streams its nr columns in order whatever nr
+//     is, and a column prefix of a block is itself a valid kernel operand.
 //
 // Both packers read through op(X), so the same kernels serve the
 // transposed cases SYRK/SYR2K need.
@@ -22,7 +24,7 @@ void pack_a_block(Trans ta, const double* a, index_t lda, index_t i0,
                   index_t k0, index_t mc, index_t kc, double alpha,
                   double* pa);
 
-/// pb[l*nc + j] = op(B)(k0+l, j0+j) for l<kc, j<nc.
+/// pb[j*kc + l] = op(B)(k0+l, j0+j) for l<kc, j<nc.
 void pack_b_block(Trans tb, const double* b, index_t ldb, index_t k0,
                   index_t j0, index_t kc, index_t nc, double* pb);
 

@@ -30,7 +30,7 @@ void block_kernel_avx2(index_t mc, index_t nc, index_t kc, const double* pa,
         const __m256d a0 = _mm256_loadu_pd(pa + l * mc + i);
         const __m256d a1 = _mm256_loadu_pd(pa + l * mc + i + 4);
         for (int q = 0; q < 4; ++q) {
-          const __m256d bq = _mm256_broadcast_sd(pb + l * nc + j + q);
+          const __m256d bq = _mm256_broadcast_sd(pb + (j + q) * kc + l);
           acc[0][q] = _mm256_fmadd_pd(a0, bq, acc[0][q]);
           acc[1][q] = _mm256_fmadd_pd(a1, bq, acc[1][q]);
         }
@@ -48,7 +48,7 @@ void block_kernel_avx2(index_t mc, index_t nc, index_t kc, const double* pa,
     const index_t i0 = j < n_main ? m_main : 0;
     for (index_t i = i0; i < mc; ++i) {
       double accs = 0.0;
-      for (index_t l = 0; l < kc; ++l) accs += pa[l * mc + i] * pb[l * nc + j];
+      for (index_t l = 0; l < kc; ++l) accs += pa[l * mc + i] * pb[j * kc + l];
       at(c, ldc, i, j) += accs;
     }
   }

@@ -1630,12 +1630,12 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     }
 
     // ---- blocked driver (GEMM configurations) ----------------------------
-    // The driver's pack_b produces the row-panel layout (pb[l*nc + j]);
-    // col-major-layout kernels are VM/interp-only by construction. The block
-    // function is shared with the Level-3 engine path below.
+    // The driver packs B column-major (pb[j*kc + l]); row-panel-layout
+    // kernels are VM/interp-only by construction. The block function is
+    // shared with the Level-3 engine path below.
     augem::GemmBlockFn block;
     if (rt.cfg.op == KernelKind::kGemm &&
-        rt.cfg.layout == BLayout::kRowPanel) {
+        rt.cfg.layout == BLayout::kColMajor) {
       if (rt.mod != nullptr) {
         auto* fn = rt.mod->fn<void(long, long, long, const double*,
                                    const double*, double*, long)>(rt.g->name);

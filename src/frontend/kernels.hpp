@@ -17,11 +17,15 @@ namespace augem::frontend {
 enum class BLayout {
   /// B[l*nc + j]: row-major packed block, contiguous across the unrolled j
   /// direction. Both of the paper's vectorization strategies (Vdup and
-  /// Shuf, §3.4) apply.
+  /// Shuf, §3.4) apply. No driver packs it: it serves the Vdup/Shuf
+  /// comparisons (augemc, the Shuf snapshots, the ablation, the fuzzer and
+  /// mirlint).
   kRowPanel,
-  /// B[j*kc + l]: column-major block, exactly the paper's Fig. 12. The
-  /// unrolled j elements are `kc` apart, so only the Vdup strategy applies
-  /// (the Template Identifier rejects Shuf here).
+  /// B[j*kc + l]: column-major block, exactly the paper's Fig. 12, and the
+  /// layout the blocked driver packs (blas/pack.hpp): every column is one
+  /// contiguous kc-deep sliver. The unrolled j elements are `kc` apart, so
+  /// only the Vdup strategy applies (the Template Identifier rejects Shuf
+  /// here).
   kColMajor,
 };
 

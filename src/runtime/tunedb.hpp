@@ -46,9 +46,8 @@ struct KernelArtifact {
 /// metadata and trial log, so `augem_tunedb show` can answer "how was this
 /// found" and determinism gates can compare search traces across
 /// processes; and the published artifact built from it, if any. All three
-/// are optional: older records (and hand-written ones) decode with
-/// `search` and `artifact` unset and an empty log, so the schema version
-/// stays at 1.
+/// are optional: records without them (and hand-written ones) decode with
+/// `search` and `artifact` unset and an empty log.
 struct TunedVariant {
   transform::CGenParams params;
   opt::VecStrategy strategy = opt::VecStrategy::kVdup;
@@ -69,8 +68,12 @@ struct DbEntry {
 };
 
 /// Schema version written into every record; loaders skip records from a
-/// different schema (they will be re-tuned and re-appended).
-inline constexpr int kTuneDbSchema = 1;
+/// different schema (they will be re-tuned and re-appended). Version 2:
+/// GEMM kernels read column-major packed B. A version-1 GEMM record names
+/// a row-panel kernel that still passes its artifact hash check but would
+/// compute wrong results under the current driver, so it must never be
+/// replayed.
+inline constexpr int kTuneDbSchema = 2;
 
 // ---- record codecs ---------------------------------------------------------
 //

@@ -7,6 +7,8 @@
 
 namespace augem::tuning {
 
+using transform::CGenParams;
+
 const char* infeasible_reason_name(InfeasibleReason r) {
   switch (r) {
     case InfeasibleReason::kNone:
@@ -76,17 +78,13 @@ SearchSpace SearchSpace::gemm(Isa isa, bool downsized) {
   s.kind_ = Kind::kGemm;
   if (downsized) {
     s.tiles_ = {{w, 2}, {w, w}, {2 * w, w}};
-    s.axes_ = {{"tile", {0, 1, 2}},
-               {"ku", {1, 2}},
-               {"prefetch", {0, 16}},
-               {"strategy", {0}}};
+    s.axes_ = {{"tile", {0, 1, 2}}, {"ku", {1, 2}}, {"prefetch", {0, 16}}};
   } else {
     s.tiles_ = {{w, 2},     {w, w},      {2 * w, 2},
                 {2 * w, w}, {2 * w, 2 * w}, {4 * w, w}};
     s.axes_ = {{"tile", {0, 1, 2, 3, 4, 5}},
                {"ku", {1, 2, 4, 8}},
-               {"prefetch", {0, 8, 16, 32, 64}},
-               {"strategy", {0, 1}}};
+               {"prefetch", {0, 8, 16, 32, 64}}};
   }
   return s;
 }
@@ -110,9 +108,9 @@ int SearchSpace::grid_size() const {
 }
 
 Point SearchSpace::start() const {
-  // The generator-default cell: tile (w,2) / ku 1 / prefetch 16 / vdup for
-  // GEMM, unroll 8 / prefetch 16 for Level-1 — the configuration the
-  // drivers would use untuned, so the climb starts from known-good ground.
+  // The generator-default cell: tile (w,2) / ku 1 / prefetch 16 for GEMM,
+  // unroll 8 / prefetch 16 for Level-1 — the configuration the drivers
+  // would use untuned, so the climb starts from known-good ground.
   Point p;
   p.ix.assign(axes_.size(), 0);
   for (std::size_t a = 0; a < axes_.size(); ++a) {
@@ -132,16 +130,6 @@ std::vector<Point> SearchSpace::neighbors(const Point& p) const {
   std::vector<Point> out;
   for (std::size_t a = 0; a < axes_.size(); ++a) {
     const int n = static_cast<int>(axes_[a].values.size());
-    if (axes_[a].name == "strategy") {
-      // Unordered axis: every other value is adjacent.
-      for (int v = 0; v < n; ++v) {
-        if (v == p.ix[a]) continue;
-        Point q = p;
-        q.ix[a] = v;
-        out.push_back(std::move(q));
-      }
-      continue;
-    }
     for (int step : {-1, +1}) {
       const int v = p.ix[a] + step;
       if (v < 0 || v >= n) continue;
@@ -180,24 +168,22 @@ std::vector<Point> SearchSpace::all_points() const {
   }
 }
 
-Candidate SearchSpace::materialize(const Point& p) const {
+CGenParams SearchSpace::materialize(const Point& p) const {
   AUGEM_CHECK(p.ix.size() == axes_.size(), "point/axis arity mismatch");
-  Candidate c;
+  CGenParams c;
   for (std::size_t a = 0; a < axes_.size(); ++a) {
     const Axis& ax = axes_[a];
     const int v = ax.values[static_cast<std::size_t>(p.ix[a])];
     if (ax.name == "tile") {
-      c.params.mr = tiles_[static_cast<std::size_t>(v)].first;
-      c.params.nr = tiles_[static_cast<std::size_t>(v)].second;
+      c.mr = tiles_[static_cast<std::size_t>(v)].first;
+      c.nr = tiles_[static_cast<std::size_t>(v)].second;
     } else if (ax.name == "ku") {
-      c.params.ku = v;
+      c.ku = v;
     } else if (ax.name == "unroll") {
-      c.params.unroll = v;
+      c.unroll = v;
     } else if (ax.name == "prefetch") {
-      c.params.prefetch.enabled = v != 0;
-      if (v != 0) c.params.prefetch.distance = v;
-    } else if (ax.name == "strategy") {
-      c.strategy = v == 0 ? opt::VecStrategy::kVdup : opt::VecStrategy::kShuf;
+      c.prefetch.enabled = v != 0;
+      if (v != 0) c.prefetch.distance = v;
     } else {
       AUGEM_FAIL("unknown search axis " << ax.name);
     }

@@ -3,13 +3,13 @@
 //
 // The paper's tuner (§2.1) enumerates its whole candidate grid; that stops
 // scaling the moment prefetch distance and bigger unroll factors join the
-// space (240 GEMM points instead of 31). This header factors the space into
-// explicit axes — register tile, inner unroll, prefetch distance,
-// vectorization strategy — and describes the seeded, budgeted
-// hill-climbing search that replaces the exhaustive sweep: neighbors are
-// single-axis steps, acceptance is decided against the measurement's pooled
-// confidence interval (src/perf/stats.hpp), and random restarts escape
-// local optima. Everything is reproducible from one seed.
+// space (120 GEMM points instead of 31). This header factors the space into
+// explicit axes — register tile, inner unroll, prefetch distance — and
+// describes the seeded, budgeted hill-climbing search that replaces the
+// exhaustive sweep: neighbors are single-axis steps, acceptance is decided
+// against the measurement's pooled confidence interval
+// (src/perf/stats.hpp), and random restarts escape local optima.
+// Everything is reproducible from one seed.
 
 #include <cstdint>
 #include <string>
@@ -68,16 +68,11 @@ struct Point {
   bool operator==(const Point& o) const { return ix == o.ix; }
 };
 
-/// A materialized point: the generator parameters it denotes.
-struct Candidate {
-  transform::CGenParams params;
-  opt::VecStrategy strategy = opt::VecStrategy::kVdup;
-};
-
 /// The candidate grid as explicit axes. Neighbors of a point are all
-/// single-axis index steps (±1 on ordered axes, any other value on the
-/// strategy axis), which is what makes hill-climbing meaningful: adjacent
-/// indices are adjacent parameter values.
+/// single-axis ±1 index steps, which is what makes hill-climbing
+/// meaningful: adjacent indices are adjacent parameter values. Every point
+/// is generated with the Vdup strategy: the driver packs B column-major
+/// (blas/pack.hpp), where Shuf does not apply.
 class SearchSpace {
  public:
   struct Axis {
@@ -87,8 +82,8 @@ class SearchSpace {
 
   /// The GEMM space for `isa` (w = vector width in doubles): tiles
   /// {(w,2),(w,w),(2w,2),(2w,w),(2w,2w),(4w,w)} × ku {1,2,4,8} × prefetch
-  /// {off,8,16,32,64} × strategy {vdup,shuf} — 240 points. `downsized`
-  /// shrinks every axis (12 points) for property tests.
+  /// {off,8,16,32,64} — 120 points. `downsized` shrinks every axis (12
+  /// points) for property tests.
   static SearchSpace gemm(Isa isa, bool downsized = false);
 
   /// The Level-1/2 space: unroll {1,2,4,8,16,32,64} × prefetch
@@ -104,7 +99,8 @@ class SearchSpace {
   Point random_point(Rng& rng) const;
   std::vector<Point> all_points() const;  ///< row-major, for exhaustive mode
 
-  Candidate materialize(const Point& p) const;
+  /// The generator parameters `p` denotes.
+  transform::CGenParams materialize(const Point& p) const;
   std::string key(const Point& p) const;  ///< stable dedup key
 
   /// Deterministic synthetic score for `p` (strictly monotone per axis, so

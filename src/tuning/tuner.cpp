@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "asmgen/codegen.hpp"
+#include "augem/augem.hpp"
 #include "jit/jit.hpp"
 #include "perf/clock.hpp"
 #include "perf/stats.hpp"
@@ -62,14 +63,18 @@ std::string TuneResult::report() const {
 
 namespace {
 
+/// The packed-B layout every GEMM candidate is generated, timed and served
+/// in: the generator default, which is the layout the driver packs.
+constexpr frontend::BLayout kServedLayout = GenerateOptions{}.layout;
+
 /// Builds + JITs one candidate and times it `reps` times, writing the
 /// per-invocation MFLOPS samples. Throws (planner/regalloc/codegen Error)
 /// when the point is infeasible.
 std::vector<double> time_candidate(KernelKind kind, const CGenParams& params,
                                    const OptConfig& config,
                                    const TuneWorkload& w, int reps) {
-  ir::Kernel opt_c = transform::generate_optimized_c(
-      kind, frontend::BLayout::kRowPanel, params);
+  ir::Kernel opt_c =
+      transform::generate_optimized_c(kind, kServedLayout, params);
   asmgen::GeneratedKernel gen =
       asmgen::generate_assembly(std::move(opt_c), config);
   jit::CompiledModule mod = jit::assemble(gen.asm_text);
@@ -149,8 +154,8 @@ std::vector<double> time_candidate(KernelKind kind, const CGenParams& params,
 /// mode so determinism tests exercise real pruning with model scores.
 void check_feasible(KernelKind kind, const CGenParams& params,
                     const OptConfig& config) {
-  ir::Kernel opt_c = transform::generate_optimized_c(
-      kind, frontend::BLayout::kRowPanel, params);
+  ir::Kernel opt_c =
+      transform::generate_optimized_c(kind, kServedLayout, params);
   (void)asmgen::generate_assembly(std::move(opt_c), config);
 }
 
@@ -195,12 +200,10 @@ class SearchRun {
   std::size_t measure(const Point& p) {
     const std::string k = space_.key(p);
     if (const auto it = seen_.find(k); it != seen_.end()) return it->second;
-    const Candidate c = space_.materialize(p);
-    Trial t;
-    t.params = c.params;
-    t.strategy = c.strategy;
+    Trial t;  // strategy stays Vdup, the only one the served layout admits
+    t.params = space_.materialize(p);
     OptConfig config = result_.config;
-    config.strategy = c.strategy;
+    config.strategy = t.strategy;
     try {
       if (opts_.synthetic) {
         check_feasible(kind_, t.params, config);

@@ -59,9 +59,9 @@ struct TuneWorkload {
   int reps = 5;  ///< timing repetitions per candidate (median-of)
 };
 
-/// Tunes the GEMM register tile, unrolls, prefetch distance and strategy
-/// for `isa` with the seeded search (or the full sweep when
-/// `opts.exhaustive` is set).
+/// Tunes the GEMM register tile, unrolls and prefetch distance for `isa`
+/// with the seeded search (or the full sweep when `opts.exhaustive` is
+/// set). Every candidate uses the Vdup strategy over column-major B.
 TuneResult tune_gemm(Isa isa, const TuneWorkload& workload = {},
                      const SearchOptions& opts = SearchOptions::from_env());
 

@@ -67,6 +67,25 @@ TEST(Augem, KernelSetRejectsNonNativeIsa) {
   EXPECT_THROW(KernelSet set(Isa::kFma4), Error);
 }
 
+TEST(Augem, KernelSetRejectsShufStrategy) {
+  // Shuf needs row-panel B; the driver packs column-major B, and the error
+  // says so.
+  const Isa isa = host_arch().best_native_isa();
+  const int w = isa_vector_doubles(isa);
+  transform::CGenParams gemm_p;
+  gemm_p.mr = w;
+  gemm_p.nr = w;
+  transform::CGenParams l1_p;
+  l1_p.unroll = 4;
+  try {
+    KernelSet set(isa, gemm_p, opt::VecStrategy::kShuf, l1_p);
+    FAIL() << "a Shuf KernelSet was built";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("kColMajor"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Augem, CustomTileKernelSet) {
   transform::CGenParams gemm_p;
   gemm_p.mr = 4;
@@ -89,7 +108,7 @@ TEST(Augem, CustomTileKernelSet) {
   set.gemm()(mc, nc, kc, pa.data(), pb.data(), c.data(), mc);
   // Check one element against a direct sum.
   double want = 0;
-  for (long l = 0; l < kc; ++l) want += pa[l * mc + 3] * pb[l * nc + 5];
+  for (long l = 0; l < kc; ++l) want += pa[l * mc + 3] * pb[5 * kc + l];
   EXPECT_NEAR(c[5 * mc + 3], want, 1e-12);
 }
 

@@ -67,14 +67,18 @@ TEST(KernelVariants, EveryNativeIsaProducesCorrectBlas) {
 }
 
 TEST(KernelVariants, NonDefaultTileAndShufStrategy) {
+  // The n×n tile the Shuf strategy requires, through the driver under Vdup:
+  // the driver packs B column-major, where Shuf does not apply, so a Shuf
+  // KernelSet is rejected (Augem.KernelSetRejectsShufStrategy). Shuf GEMM
+  // still runs on row-panel blocks in the JIT and VM tests.
   const Isa isa = host_arch().best_native_isa();
   const int w = isa_vector_doubles(isa);
   transform::CGenParams gemm_p;
   gemm_p.mr = w;
-  gemm_p.nr = w;  // the n×n tile the Shuf strategy requires
+  gemm_p.nr = w;
   transform::CGenParams l1_p;
   l1_p.unroll = 4;
-  const KernelSet kernels(isa, gemm_p, opt::VecStrategy::kShuf, l1_p);
+  const KernelSet kernels(isa, gemm_p, opt::VecStrategy::kVdup, l1_p);
   const blas::BlockSizes sizes = blas::default_block_sizes(host_arch());
   check_gemm(kernels, sizes, 64, 48, 96, 11);
   check_gemm(kernels, sizes, w, w, 1, 12);

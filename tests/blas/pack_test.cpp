@@ -42,15 +42,15 @@ TEST(Pack, ABlockTransposeReadsRows) {
   EXPECT_DOUBLE_EQ(pa[3], 4);
 }
 
-TEST(Pack, BBlockRowMajorLayout) {
-  // B 3×4 (ldb 3); pack full 3×4: pb[l*nc + j] = B(l, j).
+TEST(Pack, BBlockColumnMajorLayout) {
+  // B 3×4 (ldb 3); pack full 3×4: pb[j*kc + l] = B(l, j).
   std::vector<double> b(12);
   for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<double>(i);
   std::vector<double> pb(12);
   pack_b_block(Trans::kNo, b.data(), 3, 0, 0, 3, 4, pb.data());
   for (index_t l = 0; l < 3; ++l)
     for (index_t j = 0; j < 4; ++j)
-      EXPECT_DOUBLE_EQ(pb[static_cast<std::size_t>(l * 4 + j)],
+      EXPECT_DOUBLE_EQ(pb[static_cast<std::size_t>(j * 3 + l)],
                        at(b.data(), 3, l, j));
 }
 
@@ -58,11 +58,23 @@ TEST(Pack, BBlockTranspose) {
   std::vector<double> b = {1, 2, 3, 4};  // 2×2: B = [1 3; 2 4]
   std::vector<double> pb(4);
   pack_b_block(Trans::kYes, b.data(), 2, 0, 0, 2, 2, pb.data());
-  // pb[l*2+j] = B^T(l,j) = B(j,l)
+  // pb[j*2+l] = B^T(l,j) = B(j,l)
   EXPECT_DOUBLE_EQ(pb[0], 1);
-  EXPECT_DOUBLE_EQ(pb[1], 2);
-  EXPECT_DOUBLE_EQ(pb[2], 3);
+  EXPECT_DOUBLE_EQ(pb[1], 3);
+  EXPECT_DOUBLE_EQ(pb[2], 2);
   EXPECT_DOUBLE_EQ(pb[3], 4);
+
+  // A kc that is not a multiple of the 8-row copy strip, at an offset.
+  Rng rng(5);
+  const index_t ldb = 9, kc = 19, nc = 5;
+  std::vector<double> bt(static_cast<std::size_t>(ldb * 24));
+  rng.fill(bt);
+  std::vector<double> pt(static_cast<std::size_t>(kc * nc));
+  pack_b_block(Trans::kYes, bt.data(), ldb, 3, 2, kc, nc, pt.data());
+  for (index_t l = 0; l < kc; ++l)
+    for (index_t j = 0; j < nc; ++j)
+      EXPECT_DOUBLE_EQ(pt[static_cast<std::size_t>(j * kc + l)],
+                       at(bt.data(), ldb, 2 + j, 3 + l));
 }
 
 TEST(Pack, SubBlockOffsets) {
@@ -74,7 +86,7 @@ TEST(Pack, SubBlockOffsets) {
   pack_b_block(Trans::kNo, b.data(), ldb, 2, 3, 2, 3, pb.data());
   for (index_t l = 0; l < 2; ++l)
     for (index_t j = 0; j < 3; ++j)
-      EXPECT_DOUBLE_EQ(pb[static_cast<std::size_t>(l * 3 + j)],
+      EXPECT_DOUBLE_EQ(pb[static_cast<std::size_t>(j * 2 + l)],
                        at(b.data(), ldb, 2 + l, 3 + j));
 }
 

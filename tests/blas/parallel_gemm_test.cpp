@@ -21,7 +21,7 @@ void naive_block_kernel(index_t mc, index_t nc, index_t kc, const double* pa,
   for (index_t j = 0; j < nc; ++j)
     for (index_t i = 0; i < mc; ++i) {
       double acc = 0.0;
-      for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[l * nc + j];
+      for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[j * kc + l];
       at(c, ldc, i, j) += acc;
     }
 }
@@ -39,10 +39,10 @@ void fma_tile_kernel(index_t mc, index_t nc, index_t kc, const double* pa,
       double r0 = 0, r1 = 0, r2 = 0, r3 = 0;
       for (index_t l = 0; l < kc; ++l) {
         const double av = pa[l * mc + i];
-        r0 = std::fma(av, pb[l * nc + j], r0);
-        r1 = std::fma(av, pb[l * nc + j + 1], r1);
-        r2 = std::fma(av, pb[l * nc + j + 2], r2);
-        r3 = std::fma(av, pb[l * nc + j + 3], r3);
+        r0 = std::fma(av, pb[j * kc + l], r0);
+        r1 = std::fma(av, pb[(j + 1) * kc + l], r1);
+        r2 = std::fma(av, pb[(j + 2) * kc + l], r2);
+        r3 = std::fma(av, pb[(j + 3) * kc + l], r3);
       }
       at(c, ldc, i, j) += r0;
       at(c, ldc, i, j + 1) += r1;
@@ -53,7 +53,7 @@ void fma_tile_kernel(index_t mc, index_t nc, index_t kc, const double* pa,
   for (index_t j = n_main; j < nc; ++j)
     for (index_t i = 0; i < mc; ++i) {
       double acc = 0.0;
-      for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[l * nc + j];
+      for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[j * kc + l];
       at(c, ldc, i, j) += acc;
     }
 }
@@ -207,6 +207,47 @@ TEST(ParallelGemm, ContextClampsToPoolSize) {
                0.0, c2.data(), m, ctx, naive_block_kernel);
   ASSERT_EQ(std::memcmp(c2.data(), c_ref.data(), c2.size() * sizeof(double)),
             0);
+}
+
+TEST(PackedB, ThreadedPackMatchesSerialBytes) {
+  // Each participant of a threaded pack_rows writes a column slice of every
+  // chunk; the slices must tile the chunks exactly as the serial pack
+  // writes them, and leave chunks outside the k-range untouched.
+  ThreadPool pool(3);
+  GemmContext threaded = serial_gemm_context({16, 16, 16});
+  threaded.pool = &pool;
+  threaded.threads = 3;
+  Rng rng(127);
+  std::vector<double> src(static_cast<std::size_t>(24 * 40));
+  rng.fill(src);
+  const PanelWriter writer = panel_writer(
+      [&src](index_t l, index_t j) { return at(src.data(), 24, l, j); });
+  struct Case {
+    index_t k, n, kc, jw, k0, k1;
+  };
+  // One chunk; chunks 8/8/5 deep and 8/8/8/5 wide (no width a multiple of
+  // 3); and the k-ranges TRSM packs, covering only some k-chunks.
+  for (const Case& t : {Case{16, 37, 16, 37, 0, 16}, Case{21, 29, 8, 8, 0, 21},
+                        Case{21, 29, 8, 8, 8, 16}, Case{21, 29, 8, 8, 16, 21}}) {
+    const std::size_t size = PackedB::storage_doubles(t.k, t.n, t.kc);
+    std::vector<double> serial(size, -7.0), parallel(size, -7.0);
+    PackedB ps(t.k, t.n, t.kc, t.jw, serial.data());
+    PackedB pp(t.k, t.n, t.kc, t.jw, parallel.data());
+    ps.pack_rows(t.k0, t.k1, writer, serial_gemm_context({16, 16, 16}));
+    pp.pack_rows(t.k0, t.k1, writer, threaded);
+    EXPECT_EQ(std::memcmp(serial.data(), parallel.data(),
+                          size * sizeof(double)),
+              0)
+        << "k=" << t.k << " n=" << t.n << " rows [" << t.k0 << ", " << t.k1
+        << ")";
+    // The packed chunks hold the panel column-major, ld chunk_rows(qk).
+    for (index_t qk = t.k0 / t.kc; qk * t.kc < t.k1; ++qk)
+      for (index_t qj = 0; qj < ps.jchunks(); ++qj)
+        for (index_t j = 0; j < ps.chunk_cols(qj); ++j)
+          for (index_t l = 0; l < ps.chunk_rows(qk); ++l)
+            ASSERT_EQ(ps.chunk(qk, qj)[j * ps.chunk_rows(qk) + l],
+                      at(src.data(), 24, qk * t.kc + l, qj * t.jw + j));
+  }
 }
 
 }  // namespace

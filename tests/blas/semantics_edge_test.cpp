@@ -167,7 +167,7 @@ class DriverSemantics : public ::testing::TestWithParam<bool> {
     for (index_t j = 0; j < nc; ++j)
       for (index_t i = 0; i < mc; ++i) {
         double acc = 0.0;
-        for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[l * nc + j];
+        for (index_t l = 0; l < kc; ++l) acc += pa[l * mc + i] * pb[j * kc + l];
         at(c, ldc, i, j) += acc;
       }
   }

@@ -8,8 +8,11 @@
 #include <fstream>
 #include <functional>
 #include <sstream>
+#include <string>
 #include <vector>
 
+#include "augem/augem.hpp"
+#include "blas/reference.hpp"
 #include "runtime/dispatch.hpp"
 #include "runtime/retune.hpp"
 #include "runtime/runtime_blas.hpp"
@@ -193,6 +196,66 @@ TEST_F(SharedCacheTest, RecordWithoutArtifactIsRebuilt) {
     v.artifact.reset();
     db.store(key, v);
   });
+}
+
+TEST_F(SharedCacheTest, SchemaOneGemmRecordIsRebuiltNotLoaded) {
+  // A cache directory from before B went column-major: a schema-1 GEMM
+  // record and its artifact, a row-panel kernel whose bytes still pass the
+  // hash check. Served to today's driver it would compute wrong results,
+  // so the runtime must build instead of replaying it.
+  const blas::index_t m = 96, n = 88, k = 72;
+  const KernelKey key =
+      host_kernel_key(KernelKind::kGemm, classify_gemm_shape(m, n, k));
+  GenerateOptions row_panel = default_options(KernelKind::kGemm, key.isa);
+  row_panel.layout = frontend::BLayout::kRowPanel;
+  const asmgen::GeneratedKernel gen =
+      generate_kernel(KernelKind::kGemm, row_panel);
+  CachedKernel old_kernel;
+  old_kernel.symbol = gen.name;
+  old_kernel.module =
+      std::make_shared<jit::CompiledModule>(jit::assemble(gen.asm_text));
+  TunedVariant old_variant;
+  old_variant.params = row_panel.params;
+  old_variant.strategy = row_panel.config.strategy;
+  RuntimeConfig cfg = config();
+  cfg.tune_on_miss = false;
+  TuningDatabase db(dir_);
+  {
+    const KeyLock lock(db, key);
+    ASSERT_TRUE(publish_and_store(db, key, old_variant, old_kernel).artifact);
+  }
+  {
+    // Under the current schema the record and artifact would be served.
+    KernelRuntime control(cfg);
+    (void)control.resolve(KernelKind::kGemm, key.shape);
+    ASSERT_EQ(control.counters().artifact_loads, 1u);
+  }
+  // Relabel the record and its file as schema 1, as the row-panel builds
+  // wrote them.
+  std::string record = read(db.file_path());
+  const std::string tag = "\"schema\":" + std::to_string(kTuneDbSchema);
+  const std::size_t pos = record.find(tag);
+  ASSERT_NE(pos, std::string::npos);
+  record.replace(pos, tag.size(), "\"schema\":1");
+  fs::remove(db.file_path());
+  write(dir_ + "/tunedb-v1.jsonl", record);
+
+  KernelRuntime rt(cfg);
+  auto rblas = make_runtime_blas(rt);
+  Rng rng(4);
+  std::vector<double> a(m * k), b(k * n), c(m * n);
+  for (double& v : a) v = rng.uniform(-1.0, 1.0);
+  for (double& v : b) v = rng.uniform(-1.0, 1.0);
+  for (double& v : c) v = rng.uniform(-1.0, 1.0);
+  std::vector<double> c_ref = c;
+  rblas->gemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.5, a.data(), m,
+              b.data(), k, -0.5, c.data(), m);
+  blas::ref::gemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.5, a.data(),
+                  m, b.data(), k, -0.5, c_ref.data(), m);
+  EXPECT_EQ(rt.counters().builds, 1u);
+  EXPECT_EQ(rt.counters().artifact_loads, 0u);
+  for (std::size_t i = 0; i < c.size(); ++i)
+    ASSERT_NEAR(c[i], c_ref[i], 1e-11 * k) << i;
 }
 
 // The promotion gate, end to end: a strictly better candidate replaces the

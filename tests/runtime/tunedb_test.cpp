@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <string>
 #include <vector>
 
 namespace augem::runtime {
@@ -230,7 +231,8 @@ TEST_F(TuneDbTest, CorruptAndTruncatedLinesAreSkippedNotFatal) {
   append_raw("{\"schema\":1,\"cpu\":\"trunc");
   append_raw("{\"schema\":999,\"cpu\":\"x\"}");
   append_raw(
-      "{\"schema\":1,\"cpu\":\"c\",\"kind\":\"gemm\",\"isa\":\"FMA3\","
+      "{\"schema\":" + std::to_string(kTuneDbSchema) +
+      ",\"cpu\":\"c\",\"kind\":\"gemm\",\"isa\":\"FMA3\","
       "\"dtype\":\"f64\",\"shape\":\"large\",\"mr\":0,\"nr\":4,\"ku\":1,"
       "\"unroll\":8,\"prefetch\":false,\"strategy\":\"vdup\",\"mflops\":1}");
   append_raw("");
@@ -259,7 +261,8 @@ TEST_F(TuneDbTest, ReplayStatsBreakRecoveriesDownByCategory) {
   append_raw("{\"schema\":999,\"cpu\":\"x\"}");   // foreign schema
   append_raw("{\"cpu\":\"x\"}");                  // missing schema
   append_raw(
-      "{\"schema\":1,\"cpu\":\"c\",\"kind\":\"gemm\",\"isa\":\"FMA3\","
+      "{\"schema\":" + std::to_string(kTuneDbSchema) +
+      ",\"cpu\":\"c\",\"kind\":\"gemm\",\"isa\":\"FMA3\","
       "\"dtype\":\"f64\",\"shape\":\"large\",\"mr\":0,\"nr\":4,\"ku\":1,"
       "\"unroll\":8,\"prefetch\":false,\"strategy\":\"vdup\",\"mflops\":1}");
   append_raw("");  // blank: tolerated silently, not a line
@@ -369,7 +372,7 @@ TEST_F(TuneDbTest, ReloadPicksUpForeignAppends) {
 
 TEST_F(TuneDbTest, VersionedFileName) {
   TuningDatabase db(dir_);
-  EXPECT_NE(db.file_path().find("tunedb-v1.jsonl"), std::string::npos);
+  EXPECT_NE(db.file_path().find("tunedb-v2.jsonl"), std::string::npos);
 }
 
 TEST(TuneDbEnv, CacheDirAndDisableFlagsHonored) {

@@ -56,10 +56,13 @@ GenerateOptions options_for(const SnapshotCase& c) {
   o.config.strategy = c.strategy;
   if (c.kind == KernelKind::kGemm && c.strategy == VecStrategy::kShuf) {
     // Shuf rotates a loaded B vector through its lanes, so the j tile must
-    // equal the vector width (the w x w shape of bench_ablation_vdup_shuf).
+    // equal the vector width (the w x w shape of bench_ablation_vdup_shuf)
+    // and B must be row-panel: the only layout where the j elements of a
+    // tile are contiguous.
     const int w = isa_vector_doubles(c.isa);
     o.params.mr = w;
     o.params.nr = w;
+    o.layout = frontend::BLayout::kRowPanel;
   }
   return o;
 }

@@ -7,7 +7,9 @@
 //     --mr N --nr N --ku N               GEMM register tile / inner unroll
 //     --unroll N                         Level-1/2 unroll factor
 //     --strategy vdup|shuf|scalar|auto   vectorization strategy
-//     --layout rowpanel|colmajor         packed-B layout (GEMM)
+//     --layout rowpanel|colmajor         packed-B layout (GEMM; default
+//                                        colmajor, the driver's, or
+//                                        rowpanel under --strategy shuf)
 //     --no-prefetch / --prefetch N       software prefetching
 //     --no-schedule                      disable instruction scheduling
 //     --run N                            JIT the kernel and time it on a
@@ -48,7 +50,7 @@ usage: augemc [--kernel K] [--isa I] [--stage S] [tile options] [-o FILE]
   --stage simple|optc|tagged|asm      (default asm)
   --mr N --nr N --ku N --unroll N
   --strategy vdup|shuf|scalar|auto
-  --layout rowpanel|colmajor
+  --layout rowpanel|colmajor          (default colmajor; rowpanel for shuf)
   --no-prefetch | --prefetch DIST
   --no-schedule
   --run N        JIT + time on a synthetic size-N workload (native ISAs)
@@ -163,6 +165,7 @@ int main(int argc, char** argv) {
   std::optional<long> run_size;
   GenerateOptions options = default_options(kind, isa);
   bool tile_overridden = false;
+  bool layout_given = false;
 
   auto need_value = [&](int& i) -> std::string {
     if (i + 1 >= argc) usage(1);
@@ -214,6 +217,7 @@ int main(int argc, char** argv) {
       if (s == "rowpanel") options.layout = frontend::BLayout::kRowPanel;
       else if (s == "colmajor") options.layout = frontend::BLayout::kColMajor;
       else usage(1);
+      layout_given = true;
     } else if (arg == "--no-prefetch") {
       options.params.prefetch.enabled = false;
     } else if (arg == "--prefetch") {
@@ -231,6 +235,9 @@ int main(int argc, char** argv) {
     }
   }
   (void)tile_overridden;
+  // Shuf needs the j elements of a tile contiguous: row-panel B.
+  if (!layout_given && options.config.strategy == opt::VecStrategy::kShuf)
+    options.layout = frontend::BLayout::kRowPanel;
 
   try {
     std::string artifact;

@@ -489,12 +489,13 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
       const bool gemm = rng.engine()() % 2 == 0;
       const tuning::SearchSpace space =
           gemm ? tuning::SearchSpace::gemm(isa) : tuning::SearchSpace::level1();
-      const tuning::Candidate cand = space.materialize(space.random_point(rng));
       Case c;
+      c.params = space.materialize(space.random_point(rng));
       c.op = gemm ? KernelKind::kGemm : l1_ops[rng.engine()() % 4];
+      // The layout and strategy the tuner generates every point with.
+      c.layout = BLayout::kColMajor;
       c.config.isa = isa;
-      c.config.strategy = cand.strategy;
-      c.params = cand.params;
+      c.config.strategy = opt::VecStrategy::kVdup;
       visit(c);
     }
     sampled = false;
