@@ -7,8 +7,8 @@
 // The paper argues (a) beats (b) because the compiler cannot reproduce the
 // Vdup/Shuf vectorization and per-array register allocation.
 
+#include "augem/augem.hpp"
 #include "common.hpp"
-#include "kernel_bench.hpp"
 
 int main() {
   using namespace augem;
@@ -23,25 +23,19 @@ int main() {
   transform::CGenParams p;
   p.mr = 2 * w;
   p.nr = w;
+  // The packed-B layout served kernels read (column-major).
+  const frontend::BLayout layout = GenerateOptions{}.layout;
 
   // The shared input: the Optimized C Kernel Generator's output.
-  ir::Kernel opt_c = transform::generate_optimized_c(
-      frontend::KernelKind::kGemm, frontend::BLayout::kRowPanel, p);
-  const std::string c_text = opt_c.to_string();
+  const std::string c_text =
+      transform::generate_optimized_c(frontend::KernelKind::kGemm, layout, p)
+          .to_string();
 
-  const long mc = 384 / p.mr * p.mr, nc = 384 / p.nr * p.nr, kc = 256;
-  Rng rng(47);
-  DoubleBuffer pa(static_cast<std::size_t>(mc * kc));
-  DoubleBuffer pb(static_cast<std::size_t>(nc * kc));
-  DoubleBuffer c(static_cast<std::size_t>(mc * nc));
-  rng.fill(pa.span());
-  rng.fill(pb.span());
-
-  using Fn = void(long, long, long, const double*, const double*, double*, long);
-  auto time_fn = [&](const std::string& series, Fn* fn) {
-    return reporter.measure_mflops(
-        series, mc, nc, kc, gemm_flops(mc, nc, kc),
-        [&] { fn(mc, nc, kc, pa.data(), pb.data(), c.data(), mc); });
+  // Both backends' kernels are timed on the same 384x384x256 packed blocks.
+  auto time_kernel = [&](const std::string& series, void* entry) {
+    return reporter.measure_probe(
+        series, tuning::KernelProbe(frontend::KernelKind::kGemm, entry,
+                                    {384, 384, 256}, p.mr, p.nr));
   };
 
   std::printf("%-34s %10s\n", "backend", "MFLOPS");
@@ -50,11 +44,11 @@ int main() {
   {
     opt::OptConfig cfg;
     cfg.isa = isa;
-    const auto gen = generate_kernel(frontend::KernelKind::kGemm,
-                                     {p, cfg, frontend::BLayout::kRowPanel});
+    const auto gen =
+        generate_kernel(frontend::KernelKind::kGemm, {p, cfg, layout});
     const jit::CompiledModule mod = jit::assemble(gen.asm_text);
     std::printf("%-34s %10.1f\n", "AUGEM templates -> assembly",
-                time_fn("augem_templates", mod.fn<Fn>(gen.name)));
+                time_kernel("augem_templates", mod.raw_symbol(gen.name)));
   }
   // (b) the general-purpose compiler on the identical C text.
   for (const char* flags : {"-O2", "-O3 -funroll-loops",
@@ -64,7 +58,7 @@ int main() {
     for (char& ch : series)
       if (ch == ' ' || ch == '-' || ch == '=') ch = '_';
     std::printf("gcc %-30s %10.1f\n", flags,
-                time_fn(series, mod.fn<Fn>("dgemm_kernel")));
+                time_kernel(series, mod.raw_symbol("dgemm_kernel")));
   }
   std::printf("(gcc -march=native may close part of the gap; the paper's "
               "comparators could not use -march=native since portable "

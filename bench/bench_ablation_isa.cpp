@@ -25,7 +25,7 @@ int main() {
     cfg.isa = isa;
     cfg.strategy = opt::VecStrategy::kVdup;
     std::printf("%-8s %dx%-8d %10.1f\n", isa_name(isa), p.mr, p.nr,
-                bench.run(p, cfg, &reporter, isa_name(isa)));
+                bench.run(p, cfg, reporter, isa_name(isa)));
   }
   std::printf("(FMA4 code is generated and semantically verified in the VM; "
               "this host cannot execute it natively)\n\n");

@@ -28,7 +28,7 @@ int main() {
       std::snprintf(series, sizeof series, "off");
     else
       std::snprintf(series, sizeof series, "dist%d", distance);
-    const double mf = bench.run(p, cfg, &reporter, series);
+    const double mf = bench.run(p, cfg, reporter, series);
     if (distance < 0) {
       std::printf("%-12s %10.1f\n", "off", mf);
     } else {

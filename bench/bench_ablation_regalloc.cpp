@@ -27,7 +27,7 @@ int main() {
     const bool queues = policy == opt::RegAllocPolicy::kPerArrayQueues;
     std::printf("%-18s %10.1f\n",
                 queues ? "per-array queues" : "single pool",
-                bench.run(p, cfg, &reporter,
+                bench.run(p, cfg, reporter,
                           queues ? "per_array_queues" : "single_pool"));
   }
   std::printf("\n");

@@ -24,7 +24,7 @@ int main() {
     cfg.isa = isa;
     cfg.schedule = sched;
     std::printf("%-12s %10.1f\n", sched ? "on" : "off",
-                bench.run(p, cfg, &reporter, sched ? "on" : "off"));
+                bench.run(p, cfg, reporter, sched ? "on" : "off"));
   }
   std::printf("\n");
   return 0;

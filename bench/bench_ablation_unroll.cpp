@@ -30,7 +30,7 @@ int main() {
       cfg.isa = isa;
       char series[32];
       std::snprintf(series, sizeof series, "mr%d_nr%d", mr, nr);
-      std::printf("  %8.0f", bench.run(p, cfg, &reporter, series));
+      std::printf("  %8.0f", bench.run(p, cfg, reporter, series));
     }
     std::printf("\n");
   }
@@ -49,7 +49,7 @@ int main() {
     cfg.isa = isa;
     char series[32];
     std::snprintf(series, sizeof series, "ku%d", ku);
-    std::printf("%8d %10.1f\n", ku, bench.run(p, cfg, &reporter, series));
+    std::printf("%8d %10.1f\n", ku, bench.run(p, cfg, reporter, series));
   }
   std::printf("\n");
   return 0;

@@ -42,7 +42,7 @@ int main() {
     for (char& ch : series)
       if (ch == ' ') ch = '_';
     std::printf("%-14s %10.1f\n", c.label,
-                bench.run(p, cfg, &reporter, series));
+                bench.run(p, cfg, reporter, series));
   }
   std::printf("\n");
   return 0;

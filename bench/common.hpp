@@ -32,6 +32,7 @@
 #include "support/buffer.hpp"
 #include "support/flops.hpp"
 #include "support/rng.hpp"
+#include "tuning/probe.hpp"
 
 namespace augem::bench {
 
@@ -91,6 +92,14 @@ class SuiteReporter {
     report_.rows.push_back(
         perf::BenchRow::from_measurement(meas, series, m, n, k, threads));
     return meas.mflops();
+  }
+
+  /// Times a generated kernel bound by a probe (tuning/probe.hpp) and
+  /// records it as above, under the probe's extents.
+  double measure_probe(const std::string& series,
+                       const tuning::KernelProbe& probe) {
+    const tuning::ProbeExtents& e = probe.extents();
+    return measure_mflops(series, e.m, e.n, e.k, probe.flops(), probe.call());
   }
 
   /// Records an externally produced row (one-shot latencies, VM

@@ -130,7 +130,6 @@ class SymExec {
   /// Every variable of `p` was created before symbol index `watermark`.
   bool uses_only_older(const ir::Poly& p, std::size_t watermark) const;
 
-  std::size_t num_symbols() const { return symbols_.size(); }
   const std::set<std::string>& pointer_syms() const { return pointer_syms_; }
   int num_stack_args() const { return n_stack_args_; }
 

@@ -1,7 +1,6 @@
 #include "asmgen/codegen.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cmath>
 #include <functional>
 #include <map>
@@ -194,10 +193,6 @@ class CodeGenerator {
     std::stable_sort(ranked.begin(), ranked.end(),
                      [](const auto& a, const auto& b) { return a.first > b.first; });
 
-    if (std::getenv("AUGEM_DEBUG_HOMES") != nullptr) {
-      for (const auto& [w, name] : ranked)
-        std::fprintf(stderr, "home candidate %-16s weight %g\n", name.c_str(), w);
-    }
     std::size_t next_reg = 0;
     for (const auto& [w, name] : ranked) {
       Home h;

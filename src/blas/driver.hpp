@@ -178,7 +178,6 @@ class PackedB {
   index_t n() const { return n_; }
   index_t kc() const { return kc_; }
   index_t jw() const { return jw_; }
-  index_t kchunks() const { return kchunks_; }
   index_t jchunks() const { return jchunks_; }
   index_t chunk_rows(index_t qk) const {
     return qk + 1 < kchunks_ ? kc_ : k_ - qk * kc_;

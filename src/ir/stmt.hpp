@@ -74,8 +74,6 @@ class Assign final : public Stmt {
   Assign(ExprPtr lhs, ExprPtr rhs);
   const Expr& lhs() const { return *lhs_; }
   const Expr& rhs() const { return *rhs_; }
-  /// Replaces the RHS (used by simplification inside transforms).
-  void set_rhs(ExprPtr rhs) { rhs_ = std::move(rhs); }
 
   StmtPtr clone() const override;
   bool equals(const Stmt& other) const override;
@@ -100,8 +98,6 @@ class ForStmt final : public Stmt {
   std::int64_t step() const { return step_; }
   const StmtList& body() const { return body_; }
   StmtList& mutable_body() { return body_; }
-  void set_step(std::int64_t step) { step_ = step; }
-  void set_upper(ExprPtr upper) { upper_ = std::move(upper); }
 
   StmtPtr clone() const override;
   bool equals(const Stmt& other) const override;

@@ -68,10 +68,6 @@ struct VecPlan {
   /// Shared accumulators needing a post-loop horizontal reduction back to
   /// a scalar register.
   std::set<std::string> reduce_scalars;
-
-  bool scalar_is_vectorized(const std::string& name) const {
-    return lane_of.count(name) > 0 || partials_of.count(name) > 0;
-  }
 };
 
 /// Computes the plan. Throws augem::Error when the configuration cannot

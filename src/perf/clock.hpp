@@ -1,9 +1,10 @@
 #pragma once
 // The one monotonic clock in the repository. Every measurement —
-// BenchRunner samples, warmup detection, the frequency sanity probe, the
-// bench/ scaffolding, the tuner's samples and its wall-clock cap — reads
-// this clock and no other, so two numbers from different benches (or from
-// a bench and a tuning run) are always comparable.
+// BenchRunner samples (the bench/ scaffolding's and the tuner's trials
+// alike), warmup detection, the frequency sanity probe and the tuner's
+// wall-clock cap — reads this clock and no other, so two numbers from
+// different benches (or from a bench and a tuning run) are always
+// comparable.
 
 #include <functional>
 

@@ -12,8 +12,11 @@
 #include "support/error.hpp"
 #include "support/flops.hpp"
 #include "support/rng.hpp"
+#include "tuning/probe.hpp"
 
 namespace augem::perf {
+
+using frontend::KernelKind;
 
 namespace {
 
@@ -218,66 +221,32 @@ BenchReport run_suite(const std::string& name, const SuiteOptions& options) {
   KernelSet set = make_suite_kernels(options.pessimize);
   BenchReport report = make_host_report(name);
 
-  Rng rng(101);
+  const auto probe = [&](KernelKind kind, auto* fn, tuning::ProbeExtents e) {
+    return tuning::KernelProbe(kind, reinterpret_cast<void*>(fn), e,
+                               set.gemm_mr(), set.gemm_nr());
+  };
+  const auto add_row = [&](const char* row, const tuning::KernelProbe& p,
+                           int calls = 1) {
+    const tuning::ProbeExtents& e = p.extents();
+    report.rows.push_back(BenchRow::from_measurement(
+        p.measure(runner, calls), row, e.m, e.n, e.k));
+  };
   if (name == "micro") {
     // GEMM on packed blocks (the inner kernel the whole system exists
     // for), sized to the resident working set the blocked driver creates.
-    const long mc = sz.gemm_mc / set.gemm_mr() * set.gemm_mr();
-    const long nc = sz.gemm_nc / set.gemm_nr() * set.gemm_nr();
-    const long kc = sz.gemm_kc;
-    DoubleBuffer pa(static_cast<std::size_t>(mc * kc));
-    DoubleBuffer pb(static_cast<std::size_t>(nc * kc));
-    DoubleBuffer c(static_cast<std::size_t>(mc * nc));
-    rng.fill(pa.span());
-    rng.fill(pb.span());
-    const Measurement gm = runner.run(gemm_flops(mc, nc, kc), [&] {
-      set.gemm()(mc, nc, kc, pa.data(), pb.data(), c.data(), mc);
-    });
-    report.rows.push_back(BenchRow::from_measurement(gm, "gemm", mc, nc, kc));
-
-    const long mn = sz.gemv_mn;
-    DoubleBuffer a(static_cast<std::size_t>(mn * mn));
-    DoubleBuffer x(static_cast<std::size_t>(mn));
-    DoubleBuffer y(static_cast<std::size_t>(mn));
-    rng.fill(a.span());
-    rng.fill(x.span());
-    rng.fill(y.span());
-    const Measurement vm = runner.run(gemv_flops(mn, mn), [&] {
-      set.gemv()(mn, mn, a.data(), mn, x.data(), y.data());
-    });
-    report.rows.push_back(BenchRow::from_measurement(vm, "gemv", mn, mn));
+    add_row("gemm", probe(KernelKind::kGemm, set.gemm(),
+                          {sz.gemm_mc, sz.gemm_nc, sz.gemm_kc}));
+    add_row("gemv",
+            probe(KernelKind::kGemv, set.gemv(), {sz.gemv_mn, sz.gemv_mn}));
   }
 
   // The streaming level-1 kernels, in both suites ("micro" tracks them at
-  // in-cache-ish sizes; "level1" is the memory-bound figure regime).
-  {
-    const long n = name == "level1" && !options.quick ? 200000 : sz.vec_n;
-    const int batch = sz.vec_batch;
-    DoubleBuffer x(static_cast<std::size_t>(n));
-    DoubleBuffer y(static_cast<std::size_t>(n));
-    rng.fill(x.span());
-    rng.fill(y.span());
-
-    const Measurement am = runner.run(axpy_flops(n) * batch, [&] {
-      for (int r = 0; r < batch; ++r)
-        set.axpy()(n, 1.0000001, x.data(), y.data());
-    });
-    report.rows.push_back(BenchRow::from_measurement(am, "axpy", n));
-
-    volatile double sink = 0.0;
-    const Measurement dm = runner.run(dot_flops(n) * batch, [&] {
-      double acc = 0.0;
-      for (int r = 0; r < batch; ++r) acc += set.dot()(n, x.data(), y.data());
-      sink = acc;
-    });
-    (void)sink;
-    report.rows.push_back(BenchRow::from_measurement(dm, "dot", n));
-
-    const Measurement sm = runner.run(static_cast<double>(n) * batch, [&] {
-      for (int r = 0; r < batch; ++r) set.scal()(n, 1.0000001, x.data());
-    });
-    report.rows.push_back(BenchRow::from_measurement(sm, "scal", n));
-  }
+  // in-cache-ish sizes; "level1" is the memory-bound figure regime), each
+  // timed sz.vec_batch calls at a time.
+  const long n = name == "level1" && !options.quick ? 200000 : sz.vec_n;
+  add_row("axpy", probe(KernelKind::kAxpy, set.axpy(), {n}), sz.vec_batch);
+  add_row("dot", probe(KernelKind::kDot, set.dot(), {n}), sz.vec_batch);
+  add_row("scal", probe(KernelKind::kScal, set.scal(), {n}), sz.vec_batch);
   return report;
 }
 

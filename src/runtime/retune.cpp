@@ -3,10 +3,7 @@
 #include "perf/report.hpp"
 #include "runtime/artifact.hpp"
 #include "runtime/dispatch.hpp"
-#include "support/buffer.hpp"
 #include "support/error.hpp"
-#include "support/flops.hpp"
-#include "support/rng.hpp"
 
 namespace augem::runtime {
 
@@ -22,72 +19,17 @@ bool same_configuration(const TunedVariant& a, const TunedVariant& b) {
          a.strategy == b.strategy;
 }
 
-/// Times `kernel` on the tuning workload with the BenchRunner, so the
-/// promotion gate's numbers carry the same semantics (median of
+/// Times `kernel` on the tuning workload's probe with the BenchRunner, so
+/// the promotion gate's numbers carry the same semantics (median of
 /// post-warmup reps with a CI) as every other GFLOPS figure in the
 /// repository.
 perf::Measurement measure(const CachedKernel& kernel,
                           const tuning::TuneWorkload& w,
                           const perf::RunnerOptions& ropts) {
-  const perf::BenchRunner runner(ropts);
-  Rng rng(11);
-  switch (kernel.key.kind) {
-    case KernelKind::kGemm: {
-      auto* fn = kernel.fn<void(long, long, long, const double*,
-                                const double*, double*, long)>();
-      DoubleBuffer a(static_cast<std::size_t>(w.mc * w.kc));
-      DoubleBuffer b(static_cast<std::size_t>(w.nc * w.kc));
-      DoubleBuffer c(static_cast<std::size_t>(w.nc * w.mc));
-      rng.fill(a.span());
-      rng.fill(b.span());
-      const std::int64_t m_main = w.mc / kernel.mr * kernel.mr;
-      const std::int64_t n_main = w.nc / kernel.nr * kernel.nr;
-      return runner.run(gemm_flops(m_main, n_main, w.kc), [&] {
-        fn(m_main, n_main, w.kc, a.data(), b.data(), c.data(), w.mc);
-      });
-    }
-    case KernelKind::kGemv: {
-      auto* fn = kernel.fn<void(long, long, const double*, long,
-                                const double*, double*)>();
-      const std::int64_t m = w.vec_len / 8, n = 64;
-      DoubleBuffer a(static_cast<std::size_t>(m * n));
-      DoubleBuffer x(static_cast<std::size_t>(n));
-      DoubleBuffer y(static_cast<std::size_t>(m));
-      rng.fill(a.span());
-      rng.fill(x.span());
-      return runner.run(gemv_flops(m, n),
-                        [&] { fn(m, n, a.data(), m, x.data(), y.data()); });
-    }
-    case KernelKind::kAxpy: {
-      auto* fn = kernel.fn<void(long, double, const double*, double*)>();
-      DoubleBuffer x(static_cast<std::size_t>(w.vec_len));
-      DoubleBuffer y(static_cast<std::size_t>(w.vec_len));
-      rng.fill(x.span());
-      return runner.run(axpy_flops(w.vec_len),
-                        [&] { fn(w.vec_len, 1.1, x.data(), y.data()); });
-    }
-    case KernelKind::kScal: {
-      auto* fn = kernel.fn<void(long, double, double*)>();
-      DoubleBuffer x(static_cast<std::size_t>(w.vec_len));
-      rng.fill(x.span());
-      return runner.run(static_cast<double>(w.vec_len),
-                        [&] { fn(w.vec_len, 1.0000001, x.data()); });
-    }
-    case KernelKind::kDot: {
-      auto* fn = kernel.fn<double(long, const double*, const double*)>();
-      DoubleBuffer x(static_cast<std::size_t>(w.vec_len));
-      DoubleBuffer y(static_cast<std::size_t>(w.vec_len));
-      rng.fill(x.span());
-      rng.fill(y.span());
-      volatile double sink = 0.0;
-      const perf::Measurement m = runner.run(
-          dot_flops(w.vec_len),
-          [&] { sink = fn(w.vec_len, x.data(), y.data()); });
-      (void)sink;
-      return m;
-    }
-  }
-  AUGEM_FAIL("unknown kernel kind");
+  const tuning::KernelProbe probe(kernel.key.kind, kernel.entry,
+                                  w.extents(kernel.key.kind), kernel.mr,
+                                  kernel.nr);
+  return probe.measure(perf::BenchRunner(ropts));
 }
 
 }  // namespace

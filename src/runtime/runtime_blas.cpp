@@ -133,8 +133,8 @@ class RuntimeBlas final : public blas::Blas {
 
   void scal(index_t n, double alpha, double* x) override {
     if (n <= 0) return;
-    if (alpha == 0.0) {
-      scal_with_blas_semantics(nullptr_scal(), n, alpha, x);  // zero fill only
+    if (alpha == 0.0) {  // overwrite: scal-to-zero must clear NaN/Inf
+      std::fill(x, x + n, 0.0);
       return;
     }
     const auto kernel =
@@ -157,10 +157,6 @@ class RuntimeBlas final : public blas::Blas {
       }
     }
   }
-
-  /// scal's alpha == 0 path never calls the kernel; passing a null fn
-  /// keeps the zero-fill semantics without resolving one.
-  static KernelSet::ScalFn* nullptr_scal() { return nullptr; }
 
   /// One GEMM kernel resolved through the cache for the shape-matched
   /// tuning key, wrapped for ragged edges, on the shape-aware context with

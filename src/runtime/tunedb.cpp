@@ -26,18 +26,6 @@ TunedVariant TunedVariant::from_tune_result(const tuning::TuneResult& r) {
   return v;
 }
 
-tuning::TuneResult TunedVariant::to_tune_result(const KernelKey& key) const {
-  tuning::TuneResult r;
-  r.kind = key.kind;
-  r.params = params;
-  r.config.isa = key.isa;
-  r.config.strategy = strategy;
-  r.mflops = mflops;
-  if (search) r.search = *search;
-  r.trials = trial_log;
-  return r;
-}
-
 std::string default_cache_dir() {
   if (const char* dir = std::getenv("AUGEM_CACHE_DIR");
       dir != nullptr && dir[0] != '\0')

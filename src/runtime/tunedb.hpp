@@ -56,9 +56,8 @@ struct TunedVariant {
   std::vector<tuning::Trial> trial_log;
   std::optional<KernelArtifact> artifact;
 
-  /// Conversion from/to the tuner's result type.
+  /// Conversion from the tuner's result type.
   static TunedVariant from_tune_result(const tuning::TuneResult& r);
-  tuning::TuneResult to_tune_result(const KernelKey& key) const;
 };
 
 /// One (key, variant) pair as stored on disk.

@@ -29,6 +29,9 @@ inline double axpy_flops(std::int64_t n) { return 2.0 * static_cast<double>(n); 
 /// 2*n flops for dot(x, y).
 inline double dot_flops(std::int64_t n) { return 2.0 * static_cast<double>(n); }
 
+/// n flops for x = alpha * x (SCAL).
+inline double scal_flops(std::int64_t n) { return static_cast<double>(n); }
+
 /// 2*m*n flops for A += alpha * x * y^T (GER).
 inline double ger_flops(std::int64_t m, std::int64_t n) {
   return 2.0 * static_cast<double>(m) * static_cast<double>(n);

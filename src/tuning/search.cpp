@@ -66,9 +66,6 @@ SearchOptions SearchOptions::from_env() {
   if (const char* s = std::getenv("AUGEM_TUNE_SYNTHETIC");
       s != nullptr && s[0] != '\0' && std::string(s) != "0")
     o.synthetic = true;
-  if (const char* s = std::getenv("AUGEM_BENCH_REPS");
-      s != nullptr && s[0] != '\0')
-    o.fixed_reps = std::atoi(s);
   return o;
 }
 

@@ -47,15 +47,12 @@ InfeasibleReason classify_infeasible(const std::string& error_message);
 ///   AUGEM_TUNE_SYNTHETIC — "1" scores points with a deterministic model
 ///                          (feasibility stays real; used by determinism
 ///                          tests and shared_cache_smoke)
-///   AUGEM_BENCH_REPS     — fixed timing repetitions per trial
+/// How a trial is timed is tuning::trial_runner's business (tuner.hpp).
 struct SearchOptions {
   std::uint64_t seed = 2013;  ///< default: the paper's year, for the grep
   bool seed_from_env = false; ///< true when AUGEM_TUNE_SEED pinned the seed
   int max_trials = 0;         ///< measured-point budget; 0 = grid/8 default
   double max_seconds = 0.0;   ///< wall-clock cap; 0 = uncapped
-  int restarts = 2;           ///< random restarts after a climb stalls
-  int plateau_moves = 2;      ///< CI-tied sideways moves before stalling
-  int fixed_reps = 0;         ///< timing reps override; 0 = workload reps
   bool exhaustive = false;    ///< sweep the full grid instead of searching
   bool synthetic = false;     ///< deterministic cost model, no timing
 

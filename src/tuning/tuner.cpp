@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <map>
 #include <sstream>
 
@@ -11,7 +10,6 @@
 #include "jit/jit.hpp"
 #include "perf/clock.hpp"
 #include "perf/stats.hpp"
-#include "support/buffer.hpp"
 #include "support/error.hpp"
 #include "support/flops.hpp"
 #include "support/rng.hpp"
@@ -67,86 +65,32 @@ namespace {
 /// in: the generator default, which is the layout the driver packs.
 constexpr frontend::BLayout kServedLayout = GenerateOptions{}.layout;
 
-/// Builds + JITs one candidate and times it `reps` times, writing the
-/// per-invocation MFLOPS samples. Throws (planner/regalloc/codegen Error)
-/// when the point is infeasible.
-std::vector<double> time_candidate(KernelKind kind, const CGenParams& params,
-                                   const OptConfig& config,
-                                   const TuneWorkload& w, int reps) {
+/// How a trial samples: cold back-to-back calls, with no warm-up run and
+/// no frequency probe. The rep count is TuneWorkload::reps.
+constexpr perf::RunnerOptions kTrialSampling = {
+    .warmup_min_reps = 0, .warmup_max_reps = 0, .check_frequency = false};
+
+/// Random restarts after a climb stalls, and CI-tied sideways moves before
+/// a climb counts as stalled.
+constexpr int kRestarts = 2;
+constexpr int kPlateauMoves = 2;
+
+/// Builds + JITs one candidate and times it with the trial runner,
+/// summarizing its per-call MFLOPS. Throws (planner/regalloc/codegen
+/// Error) when the point is infeasible.
+perf::Summary time_candidate(KernelKind kind, const CGenParams& params,
+                             const OptConfig& config, const TuneWorkload& w) {
   ir::Kernel opt_c =
       transform::generate_optimized_c(kind, kServedLayout, params);
   asmgen::GeneratedKernel gen =
       asmgen::generate_assembly(std::move(opt_c), config);
-  jit::CompiledModule mod = jit::assemble(gen.asm_text);
-
-  Rng rng(11);
+  const jit::CompiledModule mod = jit::assemble(gen.asm_text);
+  const KernelProbe probe(kind, mod.raw_symbol(gen.name), w.extents(kind),
+                          params.mr, params.nr);
+  const perf::Measurement m = probe.measure(perf::BenchRunner(trial_runner(w)));
   std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  const auto sample = [&](double flops, const std::function<void()>& fn) {
-    for (int r = 0; r < reps; ++r)
-      samples.push_back(mflops(flops, perf::time_call(fn)));
-  };
-  switch (kind) {
-    case KernelKind::kGemm: {
-      auto* fn = mod.fn<void(long, long, long, const double*, const double*,
-                             double*, long)>(gen.name);
-      DoubleBuffer a(static_cast<std::size_t>(w.mc * w.kc));
-      DoubleBuffer b(static_cast<std::size_t>(w.nc * w.kc));
-      DoubleBuffer c(static_cast<std::size_t>(w.nc * w.mc));
-      rng.fill(a.span());
-      rng.fill(b.span());
-      const std::int64_t m_main = w.mc / params.mr * params.mr;
-      const std::int64_t n_main = w.nc / params.nr * params.nr;
-      sample(gemm_flops(m_main, n_main, w.kc), [&] {
-        fn(m_main, n_main, w.kc, a.data(), b.data(), c.data(), w.mc);
-      });
-      break;
-    }
-    case KernelKind::kGemv: {
-      auto* fn = mod.fn<void(long, long, const double*, long, const double*,
-                             double*)>(gen.name);
-      const std::int64_t m = w.vec_len / 8, n = 64;
-      DoubleBuffer a(static_cast<std::size_t>(m * n));
-      DoubleBuffer x(static_cast<std::size_t>(n));
-      DoubleBuffer y(static_cast<std::size_t>(m));
-      rng.fill(a.span());
-      rng.fill(x.span());
-      sample(gemv_flops(m, n),
-             [&] { fn(m, n, a.data(), m, x.data(), y.data()); });
-      break;
-    }
-    case KernelKind::kAxpy: {
-      auto* fn = mod.fn<void(long, double, const double*, double*)>(gen.name);
-      DoubleBuffer x(static_cast<std::size_t>(w.vec_len));
-      DoubleBuffer y(static_cast<std::size_t>(w.vec_len));
-      rng.fill(x.span());
-      sample(axpy_flops(w.vec_len),
-             [&] { fn(w.vec_len, 1.1, x.data(), y.data()); });
-      break;
-    }
-    case KernelKind::kScal: {
-      auto* fn = mod.fn<void(long, double, double*)>(gen.name);
-      DoubleBuffer x(static_cast<std::size_t>(w.vec_len));
-      rng.fill(x.span());
-      sample(static_cast<double>(w.vec_len),
-             [&] { fn(w.vec_len, 1.0000001, x.data()); });
-      break;
-    }
-    case KernelKind::kDot: {
-      auto* fn = mod.fn<double(long, const double*, const double*)>(gen.name);
-      DoubleBuffer x(static_cast<std::size_t>(w.vec_len));
-      DoubleBuffer y(static_cast<std::size_t>(w.vec_len));
-      rng.fill(x.span());
-      rng.fill(y.span());
-      volatile double sink = 0.0;
-      sample(dot_flops(w.vec_len),
-             [&] { sink = fn(w.vec_len, x.data(), y.data()); });
-      (void)sink;
-      break;
-    }
-  }
-  AUGEM_CHECK(!samples.empty(), "unknown kernel kind");
-  return samples;
+  for (double s : m.samples_s) samples.push_back(mflops(probe.flops(), s));
+  return perf::summarize(samples);
 }
 
 /// Checks feasibility without timing: the point must survive the full
@@ -210,10 +154,7 @@ class SearchRun {
         t.mflops = space_.synthetic_score(p);
         t.ci_half = 0.0;
       } else {
-        const int reps =
-            opts_.fixed_reps > 0 ? opts_.fixed_reps : std::max(1, w_.reps);
-        const perf::Summary s =
-            perf::summarize(time_candidate(kind_, t.params, config, w_, reps));
+        const perf::Summary s = time_candidate(kind_, t.params, config, w_);
         t.mflops = s.median;
         t.ci_half = s.ci_half;
       }
@@ -262,6 +203,20 @@ class SearchRun {
 };
 
 }  // namespace
+
+ProbeExtents TuneWorkload::extents(KernelKind kind) const {
+  switch (kind) {
+    case KernelKind::kGemm: return {mc, nc, kc};
+    case KernelKind::kGemv: return {vec_len / 8, 64, 0};
+    default: return {vec_len, 0, 0};
+  }
+}
+
+perf::RunnerOptions trial_runner(const TuneWorkload& w) {
+  perf::RunnerOptions r = kTrialSampling;
+  r.min_reps = r.max_reps = std::max(1, w.reps);
+  return perf::RunnerOptions::from_env(r);
+}
 
 TuneResult tune_space(KernelKind kind, Isa isa, const SearchSpace& space,
                       const TuneWorkload& w, const SearchOptions& opts) {
@@ -312,7 +267,7 @@ TuneResult tune_space(KernelKind kind, Isa isa, const SearchSpace& space,
       if (!here.feasible || diff > pooled) {
         plateau = 0;
         moved = true;
-      } else if (diff > -pooled && plateau < opts.plateau_moves) {
+      } else if (diff > -pooled && plateau < kPlateauMoves) {
         ++plateau;
         moved = true;
       }
@@ -324,7 +279,7 @@ TuneResult tune_space(KernelKind kind, Isa isa, const SearchSpace& space,
     if (!moved) {
       // Stalled: every neighbor is measured, infeasible, or worse beyond
       // the CI. Restart from a random unseen point.
-      if (run.meta().restarts_used >= opts.restarts) break;
+      if (run.meta().restarts_used >= kRestarts) break;
       ++run.meta().restarts_used;
       plateau = 0;
       bool found = false;

@@ -17,10 +17,11 @@
 #include <string>
 #include <vector>
 
-#include "blas/driver.hpp"
 #include "frontend/kernels.hpp"
 #include "opt/plan.hpp"
+#include "perf/bench_runner.hpp"
 #include "transform/ckernel.hpp"
+#include "tuning/probe.hpp"
 #include "tuning/search.hpp"
 
 namespace augem::tuning {
@@ -57,7 +58,18 @@ struct TuneWorkload {
   std::int64_t kc = 256;
   std::int64_t vec_len = 8192;
   int reps = 5;  ///< timing repetitions per candidate (median-of)
+
+  /// The operands a `kind` kernel is timed on: mc×kc and kc×nc packed
+  /// blocks for GEMM, a (vec_len/8)×64 matrix for GEMV, vectors of length
+  /// vec_len otherwise.
+  ProbeExtents extents(frontend::KernelKind kind) const;
 };
+
+/// The runner options a trial is timed with (docs/tuning.md, "Measuring a
+/// trial"): `w.reps` back-to-back calls with no warm-up run and no
+/// frequency probe, then AUGEM_BENCH_REPS on top
+/// (perf::RunnerOptions::from_env).
+perf::RunnerOptions trial_runner(const TuneWorkload& w);
 
 /// Tunes the GEMM register tile, unrolls and prefetch distance for `isa`
 /// with the seeded search (or the full sweep when `opts.exhaustive` is

@@ -147,26 +147,24 @@ TEST(Search, SyntheticClimbFindsExhaustiveWinnerOnDownsizedGrid) {
   EXPECT_EQ(searched.mflops, exhaustive.mflops);
 }
 
-// Property (satellite 1, measured half): with real timings under fixed
-// repetitions (the AUGEM_BENCH_REPS mode), the seeded search's winner must
-// be within the pooled confidence interval of the exhaustive winner on a
-// downsized grid — i.e. the search gives up no statistically significant
-// performance vs the full sweep.
+// Property (measured half): with real timings at three reps per trial,
+// the seeded search's winner must be within the pooled confidence
+// interval of the exhaustive winner on a downsized grid — i.e. the search
+// gives up no statistically significant performance vs the full sweep.
 TEST(Search, MeasuredWinnerWithinPooledCiOfExhaustive) {
   const Isa isa = host_arch().best_native_isa();
   const SearchSpace space = SearchSpace::level1(/*downsized=*/true);
   TuneWorkload w = quick_workload();
+  w.reps = 3;
 
   SearchOptions ex;
   ex.seed = 11;
   ex.exhaustive = true;
-  ex.fixed_reps = 3;
   const TuneResult exhaustive =
       tune_space(KernelKind::kDot, isa, space, w, ex);
 
   SearchOptions hc;
   hc.seed = 11;
-  hc.fixed_reps = 3;
   hc.max_trials = space.grid_size();
   const TuneResult searched = tune_space(KernelKind::kDot, isa, space, w, hc);
 
@@ -244,24 +242,46 @@ TEST(Search, OptionsFromEnv) {
   setenv("AUGEM_TUNE_TRIALS", "9", 1);
   setenv("AUGEM_TUNE_SECONDS", "2.5", 1);
   setenv("AUGEM_TUNE_SYNTHETIC", "1", 1);
-  setenv("AUGEM_BENCH_REPS", "4", 1);
   const SearchOptions o = SearchOptions::from_env();
   unsetenv("AUGEM_TUNE_SEED");
   unsetenv("AUGEM_TUNE_TRIALS");
   unsetenv("AUGEM_TUNE_SECONDS");
   unsetenv("AUGEM_TUNE_SYNTHETIC");
-  unsetenv("AUGEM_BENCH_REPS");
   EXPECT_EQ(o.seed, 12345u);
   EXPECT_TRUE(o.seed_from_env);
   EXPECT_EQ(o.max_trials, 9);
   EXPECT_DOUBLE_EQ(o.max_seconds, 2.5);
   EXPECT_TRUE(o.synthetic);
-  EXPECT_EQ(o.fixed_reps, 4);
 
   const SearchOptions d = SearchOptions::from_env();
   EXPECT_FALSE(d.seed_from_env);
   EXPECT_FALSE(d.synthetic);
   EXPECT_EQ(d.max_trials, 0);
+}
+
+// A trial samples TuneWorkload::reps cold calls: no untimed warm-up call
+// and no frequency probe. AUGEM_BENCH_REPS=n (RunnerOptions::from_env)
+// overrides that with n timed calls after one untimed call.
+TEST(Search, TrialRunnerTimesRepsColdCalls) {
+  TuneWorkload w;
+  w.reps = 4;
+  int calls = 0;
+  const auto count = [&] { ++calls; };
+  const perf::Measurement cold =
+      perf::BenchRunner(trial_runner(w)).run(0.0, count);
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(cold.samples_s.size(), 4u);
+  EXPECT_EQ(cold.warmup_runs, 0);
+  EXPECT_FALSE(trial_runner(w).check_frequency);
+
+  setenv("AUGEM_BENCH_REPS", "3", 1);
+  const perf::RunnerOptions fixed = trial_runner(w);
+  unsetenv("AUGEM_BENCH_REPS");
+  calls = 0;
+  const perf::Measurement m = perf::BenchRunner(fixed).run(0.0, count);
+  EXPECT_EQ(calls, 4);
+  EXPECT_EQ(m.samples_s.size(), 3u);
+  EXPECT_EQ(m.warmup_runs, 1);
 }
 
 TEST(Search, SpaceAxesAndNeighbors) {

@@ -32,10 +32,7 @@
 
 #include "augem/augem.hpp"
 #include "match/identifier.hpp"
-#include "perf/bench_runner.hpp"
-#include "support/buffer.hpp"
-#include "support/flops.hpp"
-#include "support/rng.hpp"
+#include "tuning/probe.hpp"
 
 namespace {
 
@@ -84,73 +81,10 @@ void run_kernel(const asmgen::GeneratedKernel& gen, KernelKind kind,
     std::exit(2);
   }
   const jit::CompiledModule mod = jit::assemble(gen.asm_text);
-  Rng rng(1);
-  double flops = 0.0;
-  std::function<void()> work;
-
-  DoubleBuffer a, b, c;
-  switch (kind) {
-    case KernelKind::kGemm: {
-      const long mc = n / options.params.mr * options.params.mr;
-      const long nc = n / options.params.nr * options.params.nr;
-      const long kc = 256;
-      a = DoubleBuffer(static_cast<std::size_t>(mc * kc));
-      b = DoubleBuffer(static_cast<std::size_t>(nc * kc));
-      c = DoubleBuffer(static_cast<std::size_t>(mc * nc));
-      rng.fill(a.span());
-      rng.fill(b.span());
-      auto* fn = mod.fn<void(long, long, long, const double*, const double*,
-                             double*, long)>(gen.name);
-      flops = gemm_flops(mc, nc, kc);
-      work = [=, &a, &b, &c] {
-        fn(mc, nc, kc, a.data(), b.data(), c.data(), mc);
-      };
-      break;
-    }
-    case KernelKind::kGemv: {
-      a = DoubleBuffer(static_cast<std::size_t>(n * n));
-      b = DoubleBuffer(static_cast<std::size_t>(n));
-      c = DoubleBuffer(static_cast<std::size_t>(n));
-      rng.fill(a.span());
-      rng.fill(b.span());
-      auto* fn = mod.fn<void(long, long, const double*, long, const double*,
-                             double*)>(gen.name);
-      flops = gemv_flops(n, n);
-      work = [=, &a, &b, &c] { fn(n, n, a.data(), n, b.data(), c.data()); };
-      break;
-    }
-    case KernelKind::kAxpy: {
-      a = DoubleBuffer(static_cast<std::size_t>(n));
-      b = DoubleBuffer(static_cast<std::size_t>(n));
-      rng.fill(a.span());
-      auto* fn = mod.fn<void(long, double, const double*, double*)>(gen.name);
-      flops = axpy_flops(n);
-      work = [=, &a, &b] { fn(n, 1.0000001, a.data(), b.data()); };
-      break;
-    }
-    case KernelKind::kDot: {
-      a = DoubleBuffer(static_cast<std::size_t>(n));
-      b = DoubleBuffer(static_cast<std::size_t>(n));
-      rng.fill(a.span());
-      rng.fill(b.span());
-      auto* fn = mod.fn<double(long, const double*, const double*)>(gen.name);
-      flops = dot_flops(n);
-      work = [=, &a, &b] {
-        volatile double sink = fn(n, a.data(), b.data());
-        (void)sink;
-      };
-      break;
-    }
-    case KernelKind::kScal: {
-      a = DoubleBuffer(static_cast<std::size_t>(n));
-      rng.fill(a.span());
-      auto* fn = mod.fn<void(long, double, double*)>(gen.name);
-      flops = static_cast<double>(n);
-      work = [=, &a] { fn(n, 1.0000001, a.data()); };
-      break;
-    }
-  }
-  const perf::Measurement m = perf::BenchRunner().run(flops, work);
+  // n×n GEMV, length-n vectors, and n×256 by 256×n packed GEMM blocks.
+  const tuning::KernelProbe probe(kind, mod.raw_symbol(gen.name), {n, n, 256},
+                                  options.params.mr, options.params.nr);
+  const perf::Measurement m = probe.measure(perf::BenchRunner());
   std::printf("%s [%s] size %ld: %.1f MFLOPS\n", gen.name.c_str(),
               isa_name(options.config.isa), n, m.mflops());
 }
@@ -164,7 +98,6 @@ int main(int argc, char** argv) {
   std::string out_path;
   std::optional<long> run_size;
   GenerateOptions options = default_options(kind, isa);
-  bool tile_overridden = false;
   bool layout_given = false;
 
   auto need_value = [&](int& i) -> std::string {
@@ -197,10 +130,8 @@ int main(int argc, char** argv) {
       stage = need_value(i);
     } else if (arg == "--mr") {
       options.params.mr = std::atoi(need_value(i).c_str());
-      tile_overridden = true;
     } else if (arg == "--nr") {
       options.params.nr = std::atoi(need_value(i).c_str());
-      tile_overridden = true;
     } else if (arg == "--ku") {
       options.params.ku = std::atoi(need_value(i).c_str());
     } else if (arg == "--unroll") {
@@ -234,7 +165,6 @@ int main(int argc, char** argv) {
       usage(1);
     }
   }
-  (void)tile_overridden;
   // Shuf needs the j elements of a tile contiguous: row-panel B.
   if (!layout_given && options.config.strategy == opt::VecStrategy::kShuf)
     options.layout = frontend::BLayout::kRowPanel;
