@@ -1,6 +1,6 @@
 // Ablation: the paper's central thesis. The SAME optimized low-level C
-// (unroll&jam + strength reduction + scalar replacement + prefetch) is
-// compiled two ways:
+// (unroll&jam + strength reduction + scalar replacement + prefetch) of the
+// served GEMM kernel (default_options) is compiled two ways:
 //   (a) by AUGEM's template-based assembly backend;
 //   (b) by the general-purpose compiler (gcc -O2 / -O3) — the route ATLAS
 //       and friends take.
@@ -17,19 +17,14 @@ int main() {
   print_platform("Ablation: template backend vs general-purpose compiler "
                  "(same optimized C input)");
   SuiteReporter reporter("ablation_asm_vs_c");
-  const Isa isa = host_arch().best_native_isa();
-  const int w = isa_vector_doubles(isa);
-
-  transform::CGenParams p;
-  p.mr = 2 * w;
-  p.nr = w;
-  // The packed-B layout served kernels read (column-major).
-  const frontend::BLayout layout = GenerateOptions{}.layout;
+  const GenerateOptions served =
+      default_options(frontend::KernelKind::kGemm, host_arch().best_native_isa());
+  const transform::CGenParams& p = served.params;
 
   // The shared input: the Optimized C Kernel Generator's output.
-  const std::string c_text =
-      transform::generate_optimized_c(frontend::KernelKind::kGemm, layout, p)
-          .to_string();
+  const std::string c_text = transform::generate_optimized_c(
+                                 frontend::KernelKind::kGemm, served.layout, p)
+                                 .to_string();
 
   // Both backends' kernels are timed on the same 384x384x256 packed blocks.
   auto time_kernel = [&](const std::string& series, void* entry) {
@@ -42,10 +37,7 @@ int main() {
 
   // (a) AUGEM template backend.
   {
-    opt::OptConfig cfg;
-    cfg.isa = isa;
-    const auto gen =
-        generate_kernel(frontend::KernelKind::kGemm, {p, cfg, layout});
+    const auto gen = generate_kernel(frontend::KernelKind::kGemm, served);
     const jit::CompiledModule mod = jit::assemble(gen.asm_text);
     std::printf("%-34s %10.1f\n", "AUGEM templates -> assembly",
                 time_kernel("augem_templates", mod.raw_symbol(gen.name)));

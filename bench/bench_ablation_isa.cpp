@@ -1,5 +1,5 @@
 // Ablation: the instruction-mapping rules of Tables 1-4 — the identical
-// template pipeline retargeted across ISAs. SSE2 halves the vector width;
+// template pipeline retargeted across ISAs, each at its served kernel. SSE2 halves the vector width;
 // AVX doubles it with discrete Mul+Add; FMA3 fuses them. FMA4 output is
 // generated and VM-verified (see tests) but cannot run natively here.
 
@@ -17,15 +17,9 @@ int main() {
   std::printf("%-8s %-10s %10s\n", "ISA", "tile", "MFLOPS");
   for (Isa isa : host_arch().native_isas()) {
     if (isa == Isa::kFma4) continue;  // not natively executable here
-    const int w = isa_vector_doubles(isa);
-    transform::CGenParams p;
-    p.mr = 2 * w;
-    p.nr = w;
-    opt::OptConfig cfg;
-    cfg.isa = isa;
-    cfg.strategy = opt::VecStrategy::kVdup;
-    std::printf("%-8s %dx%-8d %10.1f\n", isa_name(isa), p.mr, p.nr,
-                bench.run(p, cfg, reporter, isa_name(isa)));
+    const GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    std::printf("%-8s %dx%-8d %10.1f\n", isa_name(isa), o.params.mr,
+                o.params.nr, bench.run(o, reporter, isa_name(isa)));
   }
   std::printf("(FMA4 code is generated and semantically verified in the VM; "
               "this host cannot execute it natively)\n\n");

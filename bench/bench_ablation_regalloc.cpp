@@ -11,23 +11,18 @@ int main() {
 
   print_platform("Ablation: register allocation policy");
   const Isa isa = host_arch().best_native_isa();
-  const int w = isa_vector_doubles(isa);
   SuiteReporter reporter("ablation_regalloc");
   GemmKernelBench bench;
 
   std::printf("%-18s %10s\n", "policy", "MFLOPS");
   for (const auto policy : {opt::RegAllocPolicy::kPerArrayQueues,
                             opt::RegAllocPolicy::kSinglePool}) {
-    transform::CGenParams p;
-    p.mr = 2 * w;
-    p.nr = w;
-    opt::OptConfig cfg;
-    cfg.isa = isa;
-    cfg.regalloc = policy;
+    GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    o.config.regalloc = policy;
     const bool queues = policy == opt::RegAllocPolicy::kPerArrayQueues;
     std::printf("%-18s %10.1f\n",
                 queues ? "per-array queues" : "single pool",
-                bench.run(p, cfg, reporter,
+                bench.run(o, reporter,
                           queues ? "per_array_queues" : "single_pool"));
   }
   std::printf("\n");

@@ -11,20 +11,15 @@ int main() {
 
   print_platform("Ablation: instruction scheduling");
   const Isa isa = host_arch().best_native_isa();
-  const int w = isa_vector_doubles(isa);
   SuiteReporter reporter("ablation_schedule");
   GemmKernelBench bench;
 
   std::printf("%-12s %10s\n", "scheduler", "MFLOPS");
   for (bool sched : {false, true}) {
-    transform::CGenParams p;
-    p.mr = 2 * w;
-    p.nr = w;
-    opt::OptConfig cfg;
-    cfg.isa = isa;
-    cfg.schedule = sched;
+    GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    o.config.schedule = sched;
     std::printf("%-12s %10.1f\n", sched ? "on" : "off",
-                bench.run(p, cfg, reporter, sched ? "on" : "off"));
+                bench.run(o, reporter, sched ? "on" : "off"));
   }
   std::printf("\n");
   return 0;

@@ -1,7 +1,9 @@
 // Ablation: the unroll / unroll&jam search surface (paper §2.1: factors
 // are "extremely sensitive to variations of the underlying machine
 // architecture", hence the empirical tuner). Prints the (mr × nr) MFLOPS
-// grid the tuner searches; infeasible points (register overflow) show 0.
+// grid around the tiles the tuner searches, and the inner unroll ku, each
+// varied from the served kernel; infeasible points (register overflow)
+// show 0.
 
 #include "common.hpp"
 #include "kernel_bench.hpp"
@@ -23,33 +25,26 @@ int main() {
   for (int mr : mrs) {
     std::printf("%8d", mr);
     for (int nr : nrs) {
-      transform::CGenParams p;
-      p.mr = mr;
-      p.nr = nr;
-      opt::OptConfig cfg;
-      cfg.isa = isa;
+      GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+      o.params.mr = mr;
+      o.params.nr = nr;
       char series[32];
       std::snprintf(series, sizeof series, "mr%d_nr%d", mr, nr);
-      std::printf("  %8.0f", bench.run(p, cfg, reporter, series));
+      std::printf("  %8.0f", bench.run(o, reporter, series));
     }
     std::printf("\n");
   }
   std::printf("(0 = infeasible: the planner rejects tiles that exceed the "
               "vector register file)\n\n");
 
-  // Inner-loop unroll (ku) on the best 2w×w tile.
-  const int w = isa_vector_doubles(isa);
+  // Inner-loop unroll (ku) on the served 2w×w tile.
   std::printf("%8s %10s\n", "ku", "MFLOPS");
-  for (int ku : {1, 2, 4}) {
-    transform::CGenParams p;
-    p.mr = 2 * w;
-    p.nr = w;
-    p.ku = ku;
-    opt::OptConfig cfg;
-    cfg.isa = isa;
+  for (int ku : {1, 2, 4, 8}) {
+    GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    o.params.ku = ku;
     char series[32];
     std::snprintf(series, sizeof series, "ku%d", ku);
-    std::printf("%8d %10.1f\n", ku, bench.run(p, cfg, reporter, series));
+    std::printf("%8d %10.1f\n", ku, bench.run(o, reporter, series));
   }
   std::printf("\n");
   return 0;

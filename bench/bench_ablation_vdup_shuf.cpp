@@ -2,8 +2,9 @@
 // Vdup (Vld-Vdup-Vmul-Vadd) vs Shuf (Vld-Vld + Shufi rotations) on the
 // n×n register tile where both are legal, plus Vdup on its preferred
 // larger tile — showing why kernels pick one strategy per machine. Every
-// case reads row-panel B, the only layout where both strategies are legal
-// (the driver packs column-major B and serves Vdup only).
+// case is the served kernel (default_options) with its tile and strategy
+// replaced, reading row-panel B, the only layout where both strategies are
+// legal (the driver packs column-major B and serves Vdup only).
 
 #include "common.hpp"
 #include "kernel_bench.hpp"
@@ -17,7 +18,6 @@ int main() {
   const int w = isa_vector_doubles(isa);
   SuiteReporter reporter("ablation_vdup_shuf");
   GemmKernelBench bench;
-  bench.layout = frontend::BLayout::kRowPanel;
 
   struct Case {
     const char* label;
@@ -32,17 +32,16 @@ int main() {
   };
   std::printf("%-14s %10s\n", "strategy/tile", "MFLOPS");
   for (const Case& c : cases) {
-    transform::CGenParams p;
-    p.mr = c.mr;
-    p.nr = c.nr;
-    opt::OptConfig cfg;
-    cfg.isa = isa;
-    cfg.strategy = c.strategy;
+    GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    o.layout = frontend::BLayout::kRowPanel;
+    o.params.mr = c.mr;
+    o.params.nr = c.nr;
+    o.config.strategy = c.strategy;
     std::string series = c.label;
     for (char& ch : series)
       if (ch == ' ') ch = '_';
     std::printf("%-14s %10.1f\n", c.label,
-                bench.run(p, cfg, reporter, series));
+                bench.run(o, reporter, series));
   }
   std::printf("\n");
   return 0;

@@ -37,16 +37,10 @@ int main() {
 
   const double flops = gemm_flops(mc, nc, kc);
   for (Isa isa : {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4}) {
-    const int w = isa_vector_doubles(isa);
-    transform::CGenParams p;
-    p.mr = 2 * w;
-    p.nr = w;
-    p.prefetch.enabled = false;
-    opt::OptConfig cfg;
-    cfg.isa = isa;
-    const auto gen =
-        generate_kernel(frontend::KernelKind::kGemm,
-                        {p, cfg, frontend::BLayout::kRowPanel});
+    // The kernel each ISA serves: 2w×w tile, ku 4, column-major B.
+    const GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    const transform::CGenParams& p = o.params;
+    const auto gen = generate_kernel(frontend::KernelKind::kGemm, o);
 
     Rng rng(71);
     DoubleBuffer a(static_cast<std::size_t>(mc * kc));
@@ -64,7 +58,7 @@ int main() {
     for (long j = 0; j < nc; ++j)
       for (long i = 0; i < mc; ++i) {
         double want = 0.0;
-        for (long l = 0; l < kc; ++l) want += a[l * mc + i] * b[l * nc + j];
+        for (long l = 0; l < kc; ++l) want += a[l * mc + i] * b[j * kc + l];
         max_err = std::max(max_err, std::abs(c[j * ldc + i] - want));
       }
 

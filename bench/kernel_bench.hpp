@@ -3,6 +3,8 @@
 // and time it on packed blocks through a kernel probe (tuning/probe.hpp)
 // and perf::BenchRunner, like every other kernel timing in the repository:
 // the median of adaptive post-warmup repetitions (docs/benchmarking.md).
+// Each ablation starts from the served configuration (default_options) and
+// changes only the knob it studies.
 
 #include <string>
 
@@ -15,21 +17,18 @@ struct GemmKernelBench {
   long mc = 384;
   long nc = 384;
   long kc = 256;
-  /// Packed-B layout; defaults to the one the driver serves.
-  frontend::BLayout layout = GenerateOptions{}.layout;
 
-  /// MFLOPS of the generated GEMM kernel for this config, also recorded as
-  /// a trajectory row named `series`; 0 if infeasible.
-  double run(const transform::CGenParams& params, const opt::OptConfig& config,
-             SuiteReporter& reporter, const std::string& series) const {
+  /// MFLOPS of the GEMM kernel `options` generates, also recorded as a
+  /// trajectory row named `series`; 0 if infeasible.
+  double run(const GenerateOptions& options, SuiteReporter& reporter,
+             const std::string& series) const {
     try {
-      const auto gen = generate_kernel(frontend::KernelKind::kGemm,
-                                       {params, config, layout});
+      const auto gen = generate_kernel(frontend::KernelKind::kGemm, options);
       const jit::CompiledModule mod = jit::assemble(gen.asm_text);
       return reporter.measure_probe(
           series, tuning::KernelProbe(frontend::KernelKind::kGemm,
                                       mod.raw_symbol(gen.name), {mc, nc, kc},
-                                      params.mr, params.nr));
+                                      options.params.mr, options.params.nr));
     } catch (const Error&) {
       return 0.0;  // infeasible configuration (register budget, Shuf shape)
     }

@@ -11,30 +11,11 @@ using transform::CGenParams;
 
 GenerateOptions default_options(KernelKind kind, Isa isa) {
   GenerateOptions o;
+  o.params = transform::default_params(kind, isa);
   o.config.isa = isa;
-  const int w = isa_vector_doubles(isa);
-  switch (kind) {
-    case KernelKind::kGemm:
-      // 2w×w register tile: 8×4 on 256-bit ISAs, 4×2 on SSE — the shapes
-      // hand-written kernels for these machines use. The depth-4 inner
-      // unroll amortizes loop control; software prefetch is off by default
-      // (the packed panels stream L1-resident, so per-iteration prefetches
-      // only burn load-port slots — see bench_ablation_prefetch).
-      o.params.mr = 2 * w;
-      o.params.nr = w;
-      o.params.ku = 4;
-      o.params.prefetch.enabled = false;
-      o.config.strategy = VecStrategy::kVdup;
-      break;
-    case KernelKind::kGemv:
-    case KernelKind::kAxpy:
-    case KernelKind::kDot:
-    case KernelKind::kScal:
-      o.params.unroll = 4 * w;
-      o.params.prefetch.enabled = false;
-      o.config.strategy = VecStrategy::kAuto;
-      break;
-  }
+  // Level-1/2 kernels let the planner pick; GEMM reads column-major B,
+  // where only Vdup applies.
+  if (kind == KernelKind::kGemm) o.config.strategy = VecStrategy::kVdup;
   return o;
 }
 

@@ -30,7 +30,9 @@ struct GenerateOptions {
   frontend::BLayout layout = frontend::BLayout::kColMajor;
 };
 
-/// Sensible per-ISA defaults (the configurations the tuner usually picks).
+/// The options an untuned `kind` kernel for `isa` is served with:
+/// transform::default_params (the tuner's starting cell), the driver's
+/// column-major B, and Vdup for GEMM.
 GenerateOptions default_options(frontend::KernelKind kind, Isa isa);
 
 /// Runs the full pipeline for one kernel.

@@ -57,18 +57,12 @@ RetuneOutcome retune(TuningDatabase& db, const KernelKey& key,
   perf::Measurement inc_m;
   perf::Measurement cand_m;
   try {
-    if (candidate) {
-      cand = *candidate;
-    } else {
-      tuning::SearchOptions sopts = tuning::SearchOptions::from_env();
-      if (!sopts.seed_from_env)
-        sopts.seed = (incumbent.search ? incumbent.search->seed : sopts.seed) +
-                     0x9e3779b97f4a7c15ull;
-      cand = TunedVariant::from_tune_result(
-          key.kind == KernelKind::kGemm
-              ? tuning::tune_gemm(key.isa, workload, sopts)
-              : tuning::tune_level1(key.kind, key.isa, workload, sopts));
-    }
+    cand = candidate ? *candidate
+                     : TunedVariant::from_tune_result(
+                           key.kind == KernelKind::kGemm
+                               ? tuning::tune_gemm(key.isa, workload)
+                               : tuning::tune_level1(key.kind, key.isa,
+                                                     workload));
     if (same_configuration(cand, incumbent)) return RetuneOutcome::kUnchanged;
     inc_m = measure(*build_variant(key, incumbent), workload, runner);
     cand_kernel = build_variant(key, cand);

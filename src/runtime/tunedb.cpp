@@ -122,16 +122,10 @@ Json encode_tuned_variant(const TunedVariant& v) {
     // readers ignore the extra field, pre-search records simply lack it.
     Json s = Json::object();
     s["algorithm"] = Json(v.search->algorithm);
-    // Seeds are full 64-bit values; numbers are doubles, so persist the
-    // seed as a decimal string to round-trip all 64 bits.
-    s["seed"] = Json(std::to_string(v.search->seed));
     s["budget_trials"] = Json(v.search->budget_trials);
-    s["budget_seconds"] = Json(v.search->budget_seconds);
     s["grid"] = Json(v.search->grid_size);
     s["trials_run"] = Json(v.search->trials_run);
-    s["restarts"] = Json(v.search->restarts_used);
     s["elapsed_s"] = Json(v.search->elapsed_seconds);
-    s["wall_capped"] = Json(v.search->wall_capped);
     s["synthetic"] = Json(v.search->synthetic);
     Json log = Json::array();
     for (const tuning::Trial& t : v.trial_log) {
@@ -169,23 +163,20 @@ namespace {
 
 /// Decodes the optional search section. A malformed section is dropped
 /// (the variant itself stays usable) — same tolerance as the rest of the
-/// replay path.
+/// replay path. Fields this reader does not know (the seed, restart count,
+/// wall-clock budget and cap flag of records written by the earlier seeded
+/// search) are ignored.
 void decode_search_section(const Json& rec, TunedVariant& v) {
   const Json* s = rec.get("search");
   if (s == nullptr || !s->is_object()) return;
   const auto algorithm = s->string("algorithm");
-  const auto seed = s->string("seed");
-  if (!algorithm || !seed) return;
+  if (!algorithm) return;
   tuning::SearchMeta meta;
   meta.algorithm = *algorithm;
-  meta.seed = std::strtoull(seed->c_str(), nullptr, 10);
   meta.budget_trials = static_cast<int>(s->number("budget_trials").value_or(0));
-  meta.budget_seconds = s->number("budget_seconds").value_or(0.0);
   meta.grid_size = static_cast<int>(s->number("grid").value_or(0));
   meta.trials_run = static_cast<int>(s->number("trials_run").value_or(0));
-  meta.restarts_used = static_cast<int>(s->number("restarts").value_or(0));
   meta.elapsed_seconds = s->number("elapsed_s").value_or(0.0);
-  meta.wall_capped = s->boolean("wall_capped").value_or(false);
   meta.synthetic = s->boolean("synthetic").value_or(false);
 
   std::vector<tuning::Trial> log;

@@ -19,6 +19,20 @@ std::string CGenParams::to_string() const {
   return os.str();
 }
 
+CGenParams default_params(KernelKind kind, Isa isa) {
+  const int w = isa_vector_doubles(isa);
+  CGenParams p;
+  p.prefetch.enabled = false;
+  if (kind == KernelKind::kGemm) {
+    p.mr = 2 * w;
+    p.nr = w;
+    p.ku = 4;
+  } else {
+    p.unroll = 4 * w;
+  }
+  return p;
+}
+
 void apply_pipeline(ir::Kernel& kernel, KernelKind kind,
                     const CGenParams& params) {
   switch (kind) {

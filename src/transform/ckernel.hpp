@@ -13,6 +13,7 @@
 
 #include "frontend/kernels.hpp"
 #include "ir/kernel.hpp"
+#include "support/arch.hpp"
 #include "transform/prefetch.hpp"
 
 namespace augem::transform {
@@ -29,6 +30,17 @@ struct CGenParams {
 
   std::string to_string() const;
 };
+
+/// The parameters a `kind` kernel for `isa` is served with untuned — by
+/// augem::default_options, hence KernelSet and the runtime — and the cell
+/// the tuner's climb starts from (tuning/search.hpp). GEMM: the 2w×w
+/// register tile (8×4 on 256-bit ISAs, 4×2 on SSE2), the shapes
+/// hand-written kernels for these machines use, with a depth-4 inner
+/// unroll that amortizes loop control. Level-1/2: a 4w unroll. Software
+/// prefetch is off: the packed panels stream L1-resident, so
+/// per-iteration prefetches only burn load-port slots (see
+/// bench_ablation_prefetch).
+CGenParams default_params(frontend::KernelKind kind, Isa isa);
 
 /// Runs the full source-to-source pipeline on the simple-C kernel for
 /// `kind`, returning the optimized low-level C kernel.

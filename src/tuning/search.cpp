@@ -1,5 +1,6 @@
 #include "tuning/search.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -49,20 +50,6 @@ InfeasibleReason classify_infeasible(const std::string& error_message) {
 
 SearchOptions SearchOptions::from_env() {
   SearchOptions o;
-  if (const char* s = std::getenv("AUGEM_TUNE_SEED");
-      s != nullptr && s[0] != '\0') {
-    o.seed = std::strtoull(s, nullptr, 10);
-    o.seed_from_env = true;
-  }
-  if (const char* s = std::getenv("AUGEM_TUNE_TRIALS");
-      s != nullptr && s[0] != '\0')
-    o.max_trials = std::atoi(s);
-  if (const char* s = std::getenv("AUGEM_TUNE_SECONDS");
-      s != nullptr && s[0] != '\0')
-    o.max_seconds = std::atof(s);
-  if (const char* s = std::getenv("AUGEM_TUNE_EXHAUSTIVE");
-      s != nullptr && s[0] != '\0' && std::string(s) != "0")
-    o.exhaustive = true;
   if (const char* s = std::getenv("AUGEM_TUNE_SYNTHETIC");
       s != nullptr && s[0] != '\0' && std::string(s) != "0")
     o.synthetic = true;
@@ -71,24 +58,28 @@ SearchOptions SearchOptions::from_env() {
 
 SearchSpace SearchSpace::gemm(Isa isa, bool downsized) {
   const int w = isa_vector_doubles(isa);
+  const std::vector<std::pair<int, int>> tiles =
+      downsized ? std::vector<std::pair<int, int>>{{w, 2}, {w, w}, {2 * w, w}}
+                : std::vector<std::pair<int, int>>{{w, 2},     {w, w},
+                                                   {2 * w, 2}, {2 * w, w},
+                                                   {2 * w, 2 * w}, {4 * w, w}};
+  // With w = 2 (SSE2), (w,2) is (w,w) and (2w,2) is (2w,w): list each once.
   SearchSpace s;
-  s.kind_ = Kind::kGemm;
-  if (downsized) {
-    s.tiles_ = {{w, 2}, {w, w}, {2 * w, w}};
-    s.axes_ = {{"tile", {0, 1, 2}}, {"ku", {1, 2}}, {"prefetch", {0, 16}}};
-  } else {
-    s.tiles_ = {{w, 2},     {w, w},      {2 * w, 2},
-                {2 * w, w}, {2 * w, 2 * w}, {4 * w, w}};
-    s.axes_ = {{"tile", {0, 1, 2, 3, 4, 5}},
-               {"ku", {1, 2, 4, 8}},
-               {"prefetch", {0, 8, 16, 32, 64}}};
-  }
+  Axis tile{"tile", {}};
+  for (const auto& t : tiles)
+    if (std::find(s.tiles_.begin(), s.tiles_.end(), t) == s.tiles_.end()) {
+      tile.values.push_back(static_cast<int>(s.tiles_.size()));
+      s.tiles_.push_back(t);
+    }
+  if (downsized)
+    s.axes_ = {tile, {"ku", {1, 4}}, {"prefetch", {0, 16}}};
+  else
+    s.axes_ = {tile, {"ku", {1, 2, 4, 8}}, {"prefetch", {0, 8, 16, 32, 64}}};
   return s;
 }
 
 SearchSpace SearchSpace::level1(bool downsized) {
   SearchSpace s;
-  s.kind_ = Kind::kLevel1;
   if (downsized) {
     s.axes_ = {{"unroll", {4, 8, 16}}, {"prefetch", {0, 16}}};
   } else {
@@ -104,22 +95,10 @@ int SearchSpace::grid_size() const {
   return n;
 }
 
-Point SearchSpace::start() const {
-  // The generator-default cell: tile (w,2) / ku 1 / prefetch 16 for GEMM,
-  // unroll 8 / prefetch 16 for Level-1 — the configuration the drivers
-  // would use untuned, so the climb starts from known-good ground.
-  Point p;
-  p.ix.assign(axes_.size(), 0);
-  for (std::size_t a = 0; a < axes_.size(); ++a) {
-    const Axis& ax = axes_[a];
-    int want = 0;
-    if (ax.name == "prefetch") want = 16;
-    if (ax.name == "unroll") want = 8;
-    if (ax.name == "ku") want = 1;
-    for (std::size_t i = 0; i < ax.values.size(); ++i)
-      if (ax.values[i] == want) p.ix[static_cast<int>(a)] = static_cast<int>(i);
-  }
-  return p;
+Point SearchSpace::cell(const CGenParams& params) const {
+  for (const Point& p : all_points())
+    if (materialize(p).to_string() == params.to_string()) return p;
+  AUGEM_FAIL("the search space has no cell " << params.to_string());
 }
 
 std::vector<Point> SearchSpace::neighbors(const Point& p) const {
@@ -136,17 +115,6 @@ std::vector<Point> SearchSpace::neighbors(const Point& p) const {
     }
   }
   return out;
-}
-
-Point SearchSpace::random_point(Rng& rng) const {
-  Point p;
-  p.ix.reserve(axes_.size());
-  // Raw engine draws + modulo: the bias is irrelevant at these axis sizes
-  // and, unlike std::uniform_int_distribution, the sequence is pinned by
-  // the mt19937_64 standard — identical across processes and builds.
-  for (const Axis& a : axes_)
-    p.ix.push_back(static_cast<int>(rng.engine()() % a.values.size()));
-  return p;
 }
 
 std::vector<Point> SearchSpace::all_points() const {

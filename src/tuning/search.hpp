@@ -5,19 +5,17 @@
 // scaling the moment prefetch distance and bigger unroll factors join the
 // space (120 GEMM points instead of 31). This header factors the space into
 // explicit axes — register tile, inner unroll, prefetch distance — and
-// describes the seeded, budgeted hill-climbing search that replaces the
-// exhaustive sweep: neighbors are single-axis steps, acceptance is decided
-// against the measurement's pooled confidence interval
-// (src/perf/stats.hpp), and random restarts escape local optima.
-// Everything is reproducible from one seed.
+// describes the budgeted steepest-ascent climb that replaces the
+// exhaustive sweep: it starts at the served default's cell
+// (transform::default_params), neighbors are single-axis steps, and a move
+// must clear the pooled confidence interval of the two measurements
+// (src/perf/stats.hpp). The climb stops where no neighbor does.
 
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "frontend/kernels.hpp"
 #include "opt/plan.hpp"
-#include "support/rng.hpp"
 #include "transform/ckernel.hpp"
 
 namespace augem::tuning {
@@ -39,22 +37,13 @@ bool parse_infeasible_reason(const std::string& name, InfeasibleReason& out);
 /// Maps a generation error message onto the pipeline stage that raised it.
 InfeasibleReason classify_infeasible(const std::string& error_message);
 
-/// Search policy knobs. `from_env()` reads:
-///   AUGEM_TUNE_SEED      — search seed (decimal); presence pins the seed
-///   AUGEM_TUNE_TRIALS    — trial budget (0 = per-space default, grid/8)
-///   AUGEM_TUNE_SECONDS   — wall-clock cap in seconds (0 = uncapped)
-///   AUGEM_TUNE_EXHAUSTIVE— "1" sweeps the whole grid (the old behavior)
-///   AUGEM_TUNE_SYNTHETIC — "1" scores points with a deterministic model
-///                          (feasibility stays real; used by determinism
-///                          tests and shared_cache_smoke)
-/// How a trial is timed is tuning::trial_runner's business (tuner.hpp).
+/// Search policy knobs. `from_env()` reads AUGEM_TUNE_SYNTHETIC: "1"
+/// scores points with a deterministic model (feasibility stays real; used
+/// by determinism tests and shared_cache_smoke). How a trial is timed is
+/// tuning::trial_runner's business (tuner.hpp).
 struct SearchOptions {
-  std::uint64_t seed = 2013;  ///< default: the paper's year, for the grep
-  bool seed_from_env = false; ///< true when AUGEM_TUNE_SEED pinned the seed
-  int max_trials = 0;         ///< measured-point budget; 0 = grid/8 default
-  double max_seconds = 0.0;   ///< wall-clock cap; 0 = uncapped
-  bool exhaustive = false;    ///< sweep the full grid instead of searching
-  bool synthetic = false;     ///< deterministic cost model, no timing
+  bool exhaustive = false;  ///< sweep the full grid instead of climbing
+  bool synthetic = false;   ///< deterministic cost model, no timing
 
   static SearchOptions from_env();
 };
@@ -78,22 +67,25 @@ class SearchSpace {
   };
 
   /// The GEMM space for `isa` (w = vector width in doubles): tiles
-  /// {(w,2),(w,w),(2w,2),(2w,w),(2w,2w),(4w,w)} × ku {1,2,4,8} × prefetch
-  /// {off,8,16,32,64} — 120 points. `downsized` shrinks every axis (12
-  /// points) for property tests.
+  /// {(w,2),(w,w),(2w,2),(2w,w),(2w,2w),(4w,w)}, each listed once (with
+  /// w = 2 the first four name two tiles), × ku {1,2,4,8} × prefetch
+  /// {off,8,16,32,64} — 120 points, 80 on SSE2. `downsized` shrinks every
+  /// axis (tiles {(w,2),(w,w),(2w,w)} × ku {1,4} × prefetch {off,16}: 12
+  /// points, 8 on SSE2) for property tests.
   static SearchSpace gemm(Isa isa, bool downsized = false);
 
   /// The Level-1/2 space: unroll {1,2,4,8,16,32,64} × prefetch
-  /// {off,8,16,32,64} — 35 points.
+  /// {off,8,16,32,64} — 35 points (downsized: unroll {4,8,16} × prefetch
+  /// {off,16}). Both contain every ISA's default cell.
   static SearchSpace level1(bool downsized = false);
 
   int grid_size() const;
   const std::vector<Axis>& axes() const { return axes_; }
 
-  /// The climb's canonical starting point (the generator defaults' cell).
-  Point start() const;
+  /// The cell whose parameters are `params` (the climb starts at
+  /// transform::default_params'); fails when the space lacks it.
+  Point cell(const transform::CGenParams& params) const;
   std::vector<Point> neighbors(const Point& p) const;
-  Point random_point(Rng& rng) const;
   std::vector<Point> all_points() const;  ///< row-major, for exhaustive mode
 
   /// The generator parameters `p` denotes.
@@ -106,8 +98,6 @@ class SearchSpace {
   double synthetic_score(const Point& p) const;
 
  private:
-  enum class Kind { kGemm, kLevel1 };
-  Kind kind_ = Kind::kGemm;
   std::vector<Axis> axes_;
   std::vector<std::pair<int, int>> tiles_;  ///< GEMM (mr, nr) per tile index
 };
@@ -116,14 +106,10 @@ class SearchSpace {
 /// so `augem_tunedb show` can answer "how was this found".
 struct SearchMeta {
   std::string algorithm = "hillclimb";  ///< "hillclimb" or "exhaustive"
-  std::uint64_t seed = 0;
   int budget_trials = 0;
-  double budget_seconds = 0.0;  ///< 0 = uncapped
   int grid_size = 0;
   int trials_run = 0;
-  int restarts_used = 0;
   double elapsed_seconds = 0.0;
-  bool wall_capped = false;  ///< the wall-clock cap ended the search
   bool synthetic = false;
 };
 

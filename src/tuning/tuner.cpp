@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <set>
 #include <sstream>
 
 #include "asmgen/codegen.hpp"
@@ -12,7 +12,6 @@
 #include "perf/stats.hpp"
 #include "support/error.hpp"
 #include "support/flops.hpp"
-#include "support/rng.hpp"
 
 namespace augem::tuning {
 
@@ -49,10 +48,8 @@ std::string TuneResult::report() const {
   os << "tuning " << frontend::kernel_kind_name(kind) << " on "
      << isa_name(config.isa) << ":\n";
   for (const Trial& t : trials) os << "  " << t.describe() << "\n";
-  os << "search: " << search.algorithm << " seed=" << search.seed
-     << " trials=" << search.trials_run << "/" << search.budget_trials
-     << " grid=" << search.grid_size << " restarts=" << search.restarts_used
-     << (search.wall_capped ? " (wall-capped)" : "") << "\n";
+  os << "search: " << search.algorithm << " trials=" << search.trials_run
+     << "/" << search.budget_trials << " grid=" << search.grid_size << "\n";
   os << "best: " << params.to_string() << " strategy="
      << opt::vec_strategy_name(config.strategy) << " ("
      << static_cast<long>(mflops) << " MFLOPS)\n";
@@ -69,11 +66,6 @@ constexpr frontend::BLayout kServedLayout = GenerateOptions{}.layout;
 /// no frequency probe. The rep count is TuneWorkload::reps.
 constexpr perf::RunnerOptions kTrialSampling = {
     .warmup_min_reps = 0, .warmup_max_reps = 0, .check_frequency = false};
-
-/// Random restarts after a climb stalls, and CI-tied sideways moves before
-/// a climb counts as stalled.
-constexpr int kRestarts = 2;
-constexpr int kPlateauMoves = 2;
 
 /// Builds + JITs one candidate and times it with the trial runner,
 /// summarizing its per-call MFLOPS. Throws (planner/regalloc/codegen
@@ -104,7 +96,7 @@ void check_feasible(KernelKind kind, const CGenParams& params,
 }
 
 /// The search driver shared by hill-climbing and exhaustive mode: owns the
-/// trial log, the dedup map, and the budget/wall accounting.
+/// trial log, the set of measured cells, and the trial budget.
 class SearchRun {
  public:
   SearchRun(KernelKind kind, Isa isa, const SearchSpace& space,
@@ -113,37 +105,25 @@ class SearchRun {
     result_.kind = kind;
     result_.config.isa = isa;
     const int grid = space.grid_size();
-    budget_ = opts.exhaustive
-                  ? grid
-                  : std::min(grid, opts.max_trials > 0
-                                       ? opts.max_trials
-                                       : std::max(8, grid / 8));
     SearchMeta& m = result_.search;
     m.algorithm = opts.exhaustive ? "exhaustive" : "hillclimb";
-    m.seed = opts.seed;
-    m.budget_trials = budget_;
-    m.budget_seconds = opts.max_seconds;
+    m.budget_trials =
+        opts.exhaustive ? grid : std::min(grid, std::max(8, grid / 8));
     m.grid_size = grid;
     m.synthetic = opts.synthetic;
   }
 
-  bool out_of_budget() {
-    if (static_cast<int>(result_.trials.size()) >= budget_) return true;
-    if (opts_.max_seconds > 0.0 && timer_.elapsed_s() >= opts_.max_seconds) {
-      result_.search.wall_capped = true;
-      return true;
-    }
-    return false;
+  bool out_of_budget() const {
+    return static_cast<int>(result_.trials.size()) >=
+           result_.search.budget_trials;
   }
 
   bool measured(const Point& p) const {
     return seen_.count(space_.key(p)) > 0;
   }
 
-  /// Measures `p` (or returns the earlier trial), returning its index.
+  /// Measures the unmeasured cell `p`, returning its trial's index.
   std::size_t measure(const Point& p) {
-    const std::string k = space_.key(p);
-    if (const auto it = seen_.find(k); it != seen_.end()) return it->second;
     Trial t;  // strategy stays Vdup, the only one the served layout admits
     t.params = space_.materialize(p);
     OptConfig config = result_.config;
@@ -167,7 +147,7 @@ class SearchRun {
     }
     const std::size_t idx = result_.trials.size();
     result_.trials.push_back(std::move(t));
-    seen_.emplace(k, idx);
+    seen_.insert(space_.key(p));
     const Trial& logged = result_.trials[idx];
     if (logged.feasible &&
         (best_ < 0 || logged.mflops > result_.trials[best_].mflops)) {
@@ -188,17 +168,14 @@ class SearchRun {
     return std::move(result_);
   }
 
-  SearchMeta& meta() { return result_.search; }
-
  private:
   KernelKind kind_;
   const SearchSpace& space_;
   const TuneWorkload& w_;
   const SearchOptions& opts_;
   TuneResult result_;
-  std::map<std::string, std::size_t> seen_;
+  std::set<std::string> seen_;  ///< SearchSpace::key of every measured cell
   int best_ = -1;
-  int budget_ = 0;
   perf::Stopwatch timer_;
 };
 
@@ -230,19 +207,17 @@ TuneResult tune_space(KernelKind kind, Isa isa, const SearchSpace& space,
     return run.finish();
   }
 
-  Rng rng(opts.seed);
-  Point cur = space.start();
+  // Steepest ascent from the served default's cell: measure the unmeasured
+  // single-axis neighbors of the current cell in axis order, and move to
+  // the best one only when it clears the pooled 95% interval of the two
+  // medians. The climb stops where no neighbor does, or when the budget
+  // is spent; the winner is the best trial measured on the way.
+  Point cur = space.cell(transform::default_params(kind, isa));
   std::size_t cur_idx = run.measure(cur);
-  int plateau = 0;
   while (!run.out_of_budget()) {
-    // One steepest-ascent step: measure the unseen neighbors of `cur`, in
-    // seeded-shuffled order so plateau walks don't always favor axis 0.
-    std::vector<Point> neigh = space.neighbors(cur);
-    for (std::size_t i = neigh.size(); i > 1; --i)
-      std::swap(neigh[i - 1], neigh[rng.engine()() % i]);
     int step_best = -1;
     Point step_best_p;
-    for (const Point& q : neigh) {
+    for (const Point& q : space.neighbors(cur)) {
       if (run.measured(q)) continue;
       if (run.out_of_budget()) break;
       const std::size_t idx = run.measure(q);
@@ -254,45 +229,14 @@ TuneResult tune_space(KernelKind kind, Isa isa, const SearchSpace& space,
         step_best_p = q;
       }
     }
-
-    bool moved = false;
-    if (step_best >= 0) {
-      const Trial& cand = run.trial(static_cast<std::size_t>(step_best));
-      const Trial& here = run.trial(cur_idx);
-      // CI-based acceptance: a move must clear the pooled 95% interval of
-      // the two medians; a statistical tie is a (bounded) plateau move.
-      const double pooled = std::sqrt(cand.ci_half * cand.ci_half +
-                                      here.ci_half * here.ci_half);
-      const double diff = cand.mflops - here.mflops;
-      if (!here.feasible || diff > pooled) {
-        plateau = 0;
-        moved = true;
-      } else if (diff > -pooled && plateau < kPlateauMoves) {
-        ++plateau;
-        moved = true;
-      }
-      if (moved) {
-        cur = step_best_p;
-        cur_idx = static_cast<std::size_t>(step_best);
-      }
-    }
-    if (!moved) {
-      // Stalled: every neighbor is measured, infeasible, or worse beyond
-      // the CI. Restart from a random unseen point.
-      if (run.meta().restarts_used >= kRestarts) break;
-      ++run.meta().restarts_used;
-      plateau = 0;
-      bool found = false;
-      for (int tries = 0; tries < 64 && !found; ++tries) {
-        const Point q = space.random_point(rng);
-        if (!run.measured(q)) {
-          cur = q;
-          found = true;
-        }
-      }
-      if (!found || run.out_of_budget()) break;
-      cur_idx = run.measure(cur);
-    }
+    if (step_best < 0) break;
+    const Trial& cand = run.trial(static_cast<std::size_t>(step_best));
+    const Trial& here = run.trial(cur_idx);
+    const double pooled = std::sqrt(cand.ci_half * cand.ci_half +
+                                    here.ci_half * here.ci_half);
+    if (here.feasible && cand.mflops - here.mflops <= pooled) break;
+    cur = step_best_p;
+    cur_idx = static_cast<std::size_t>(step_best);
   }
   return run.finish();
 }

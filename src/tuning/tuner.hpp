@@ -4,15 +4,14 @@
 // configurations and selects the best performing configurations based on
 // the performance of their optimized code."
 //
-// Where the paper (and the first nine PRs of this repo) swept the whole
-// candidate grid, the tuner now runs the seeded, budgeted hill-climbing
-// search described in docs/tuning.md over the axis-factored space in
-// tuning/search.hpp: generate + JIT + time each visited point, accept moves
-// whose improvement clears the pooled confidence interval of the two
-// measurements, treat statistical ties as plateau moves, and restart from
-// random points when a climb stalls. Configurations the planner or the
-// register allocator rejects are logged as infeasible (with the stage that
-// rejected them) and pruned, exactly like ATLAS-style search spaces.
+// Where the paper swept the whole candidate grid, the tuner climbs the
+// axis-factored space in tuning/search.hpp (docs/tuning.md): starting from
+// the served default kernel it generates + JITs + times each visited
+// point, moves only when a neighbor's improvement clears the pooled
+// confidence interval of the two measurements, and stops where none does.
+// Configurations the planner or the register allocator rejects are logged
+// as infeasible (with the stage that rejected them) and pruned, exactly
+// like ATLAS-style search spaces.
 
 #include <string>
 #include <vector>
@@ -38,7 +37,7 @@ struct Trial {
 };
 
 /// Search outcome: the winning configuration plus the full trial log and
-/// the metadata describing how the search ran (seed, budgets, restarts).
+/// the metadata describing how the search ran (algorithm, budget, grid).
 struct TuneResult {
   frontend::KernelKind kind{};
   transform::CGenParams params;
@@ -72,8 +71,8 @@ struct TuneWorkload {
 perf::RunnerOptions trial_runner(const TuneWorkload& w);
 
 /// Tunes the GEMM register tile, unrolls and prefetch distance for `isa`
-/// with the seeded search (or the full sweep when `opts.exhaustive` is
-/// set). Every candidate uses the Vdup strategy over column-major B.
+/// with the climb (or the full sweep when `opts.exhaustive` is set). Every
+/// candidate uses the Vdup strategy over column-major B.
 TuneResult tune_gemm(Isa isa, const TuneWorkload& workload = {},
                      const SearchOptions& opts = SearchOptions::from_env());
 

@@ -84,21 +84,16 @@ TEST_F(TuneDbTest, RoundTripAcrossStoreInstances) {
 }
 
 TEST_F(TuneDbTest, SearchMetaAndTrialLogRoundTripWithBothInfeasibleReasons) {
-  // ISSUE PR10 satellite: the split infeasible-reason enum must survive the
-  // record codec — a planner-rejected and a regalloc-exhausted trial both
-  // appear in the decoded log with their reasons intact, alongside the
-  // search metadata (64-bit seed included).
+  // The split infeasible-reason enum must survive the record codec — a
+  // planner-rejected and a regalloc-exhausted trial both appear in the
+  // decoded log with their reasons intact, alongside the search metadata.
   TunedVariant v = test_variant(2500.0);
   v.search = tuning::SearchMeta{};
   v.search->algorithm = "hillclimb";
-  v.search->seed = 0xdeadbeefcafe1234ull;  // exercises the 64-bit path
   v.search->budget_trials = 30;
-  v.search->budget_seconds = 12.5;
   v.search->grid_size = 240;
   v.search->trials_run = 3;
-  v.search->restarts_used = 1;
   v.search->elapsed_seconds = 0.75;
-  v.search->wall_capped = true;
   v.search->synthetic = true;
 
   tuning::Trial ok;
@@ -128,14 +123,10 @@ TEST_F(TuneDbTest, SearchMetaAndTrialLogRoundTripWithBothInfeasibleReasons) {
   ASSERT_TRUE(got->variant.search.has_value());
   const tuning::SearchMeta& m = *got->variant.search;
   EXPECT_EQ(m.algorithm, "hillclimb");
-  EXPECT_EQ(m.seed, 0xdeadbeefcafe1234ull);
   EXPECT_EQ(m.budget_trials, 30);
-  EXPECT_EQ(m.budget_seconds, 12.5);
   EXPECT_EQ(m.grid_size, 240);
   EXPECT_EQ(m.trials_run, 3);
-  EXPECT_EQ(m.restarts_used, 1);
   EXPECT_EQ(m.elapsed_seconds, 0.75);
-  EXPECT_TRUE(m.wall_capped);
   EXPECT_TRUE(m.synthetic);
 
   const std::vector<tuning::Trial>& log = got->variant.trial_log;
@@ -152,6 +143,40 @@ TEST_F(TuneDbTest, SearchMetaAndTrialLogRoundTripWithBothInfeasibleReasons) {
   // Both split reasons render distinctly in the human-readable trace.
   EXPECT_NE(log[1].describe().find("planner rejected"), std::string::npos);
   EXPECT_NE(log[2].describe().find("regalloc exhausted"), std::string::npos);
+}
+
+TEST_F(TuneDbTest, RecordWithSeededSearchFieldsStillDecodes) {
+  // A record as the earlier seeded search wrote it (trial log cut to two
+  // entries): its search section also carries the seed, restart count,
+  // wall-clock budget and cap flag. The decoder ignores those fields and
+  // keeps the record, its search metadata and its trial log.
+  append_raw(
+      R"({"cpu":"testcpu_vfma3_l32.256.8192","dtype":"f64","isa":"FMA3",)"
+      R"("kind":"dot","ku":1,"mflops":152,"mr":4,"nr":2,"prefetch":true,)"
+      R"("prefetch_distance":16,"schema":2,"search":{"algorithm":"hillclimb",)"
+      R"("budget_seconds":2.5,"budget_trials":8,"elapsed_s":0.0075,"grid":35,)"
+      R"("restarts":2,"seed":"2013","synthetic":true,"trials":[)"
+      R"({"ci":0,"ku":1,"mflops":132,"mr":4,"nr":2,"pf":true,"pfd":16,)"
+      R"("reason":"none","strategy":"vdup","unroll":8},)"
+      R"({"ci":0,"ku":1,"mflops":152,"mr":4,"nr":2,"pf":true,"pfd":16,)"
+      R"("reason":"none","strategy":"vdup","unroll":32}],"trials_run":2,)"
+      R"("wall_capped":true},"shape":"small","strategy":"vdup","unroll":32})");
+  const TuningDatabase db(dir_);
+  EXPECT_EQ(db.skipped_records(), 0u);
+  TunedVariant got;
+  ASSERT_TRUE(db.lookup(test_key(KernelKind::kDot, ShapeClass::kSmall), got));
+  EXPECT_EQ(got.params.unroll, 32);
+  ASSERT_TRUE(got.search.has_value());
+  EXPECT_EQ(got.search->algorithm, "hillclimb");
+  EXPECT_EQ(got.search->budget_trials, 8);
+  EXPECT_EQ(got.search->grid_size, 35);
+  EXPECT_EQ(got.search->trials_run, 2);
+  EXPECT_TRUE(got.search->synthetic);
+  ASSERT_EQ(got.trial_log.size(), 2u);
+  EXPECT_EQ(got.trial_log[0].params.unroll, 8);
+  EXPECT_EQ(got.trial_log[1].params.unroll, 32);
+  EXPECT_EQ(got.trial_log[1].mflops, 152.0);
+  EXPECT_TRUE(got.trial_log[1].feasible);
 }
 
 TEST_F(TuneDbTest, MalformedSearchSectionIsDroppedNotFatal) {

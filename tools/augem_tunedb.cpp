@@ -12,7 +12,7 @@
 // the entry the host's dispatcher would serve for (kind, shape); `prewarm`
 // tunes every kernel kind × shape class for the host CPU so later
 // processes start warm (--quick uses a reduced timing workload, e.g. for
-// CI); `retune` reruns the seeded search for one host entry, or for every
+// CI); `retune` reruns the climb for one host entry, or for every
 // host entry but the batched small-GEMM ones, and promotes a winner only
 // when the noise-gated diff calls it improved (--quick: reduced workload
 // and measurement budget); `purge` empties the directory's database and
@@ -84,12 +84,9 @@ Json entry_json(const DbEntry& e) {
 void print_search_details(const augem::runtime::TunedVariant& v) {
   if (!v.search) return;
   const augem::tuning::SearchMeta& m = *v.search;
-  std::printf("  search: %s seed=%llu trials=%d/%d grid=%d restarts=%d "
-              "elapsed=%.2fs%s%s\n",
-              m.algorithm.c_str(), static_cast<unsigned long long>(m.seed),
-              m.trials_run, m.budget_trials, m.grid_size, m.restarts_used,
-              m.elapsed_seconds, m.wall_capped ? " (wall-capped)" : "",
-              m.synthetic ? " (synthetic)" : "");
+  std::printf("  search: %s trials=%d/%d grid=%d elapsed=%.2fs%s\n",
+              m.algorithm.c_str(), m.trials_run, m.budget_trials, m.grid_size,
+              m.elapsed_seconds, m.synthetic ? " (synthetic)" : "");
   for (const augem::tuning::Trial& t : v.trial_log)
     std::printf("    %s\n", t.describe().c_str());
 }

@@ -31,6 +31,7 @@
 #include <string>
 
 #include "augem/augem.hpp"
+#include "cli.hpp"
 #include "match/identifier.hpp"
 #include "tuning/probe.hpp"
 
@@ -54,22 +55,6 @@ usage: augemc [--kernel K] [--isa I] [--stage S] [tile options] [-o FILE]
   -o FILE        output file (default stdout)
 )");
   std::exit(code);
-}
-
-std::optional<KernelKind> parse_kernel(const std::string& s) {
-  for (KernelKind k : {KernelKind::kGemm, KernelKind::kGemv, KernelKind::kAxpy,
-                       KernelKind::kDot, KernelKind::kScal})
-    if (s == frontend::kernel_kind_name(k)) return k;
-  return std::nullopt;
-}
-
-std::optional<Isa> parse_isa(const std::string& s) {
-  for (Isa i : {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4}) {
-    std::string name = isa_name(i);
-    for (char& c : name) c = static_cast<char>(std::tolower(c));
-    if (s == name) return i;
-  }
-  return std::nullopt;
 }
 
 /// JIT and time one kernel on a synthetic workload; prints MFLOPS.
@@ -109,11 +94,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--kernel") {
-      const auto k = parse_kernel(need_value(i));
+      const auto k = cli::parse_kernel(need_value(i));
       if (!k) usage(1);
       kind = *k;
     } else if (arg == "--isa") {
-      const auto parsed = parse_isa(need_value(i));
+      const auto parsed = cli::parse_isa(need_value(i));
       if (!parsed) usage(1);
       isa = *parsed;
     } else if (arg == "--help" || arg == "-h") {

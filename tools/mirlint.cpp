@@ -9,9 +9,11 @@
 //   mirlint [options]
 //     --kernel gemm|gemv|axpy|dot|scal   kernel to analyze (default gemm)
 //     --isa sse2|avx|fma3|fma4           target ISA (default fma3)
-//     --layout rowpanel|colmajor         packed-B layout (GEMM)
+//     --layout rowpanel|colmajor         packed-B layout (GEMM; default
+//                                        colmajor, the driver's)
 //     --strategy vdup|shuf|scalar|auto   vectorization strategy
-//     --mr N --nr N --ku N --unroll N    tile / unroll parameters
+//     --mr N --nr N --ku N --unroll N    tile / unroll parameters (default:
+//                                        the served ones, default_options)
 //     --small MxNxK                      analyze the shape-specialized
 //                                        batched small-GEMM kernel instead
 //                                        of the blocked GEMM
@@ -32,13 +34,11 @@
 //     --artifact PATH                    (with --sweep) also write a JSON
 //                                        artifact with per-section results
 //     --search-sample N                  (with --sweep) additionally analyze
-//                                        N random points drawn from the
+//                                        N cells spread evenly over the
 //                                        tuner's search spaces — the same
-//                                        spaces the hill climb walks — so
+//                                        spaces the climb walks — so
 //                                        search-reachable configs outside
 //                                        the fixed grid are bounds-proved
-//     --search-seed S                    RNG seed for --search-sample
-//                                        (default 2013, deterministic)
 //     --check-artifact PATH              validate a sweep artifact instead of
 //                                        analyzing; requires --section
 //     --section bounds|semantics|search_sample
@@ -49,6 +49,7 @@
 // alone — dead stores, queue-reuse hazards, long prefetches — exit 0).
 // The artifact schema is documented in docs/static-analysis.md.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -61,10 +62,10 @@
 #include "analysis/analyzer.hpp"
 #include "asmgen/codegen.hpp"
 #include "augem/augem.hpp"
+#include "cli.hpp"
 #include "frontend/kernels.hpp"
 #include "opt/plan.hpp"
 #include "support/error.hpp"
-#include "support/rng.hpp"
 #include "transform/ckernel.hpp"
 #include "tuning/search.hpp"
 
@@ -79,9 +80,9 @@ using frontend::KernelKind;
 usage: mirlint [--kernel K] [--isa I] [config options] [--text] [--sweep]
   --kernel gemm|gemv|axpy|dot|scal    (default gemm)
   --isa sse2|avx|fma3|fma4            (default fma3)
-  --layout rowpanel|colmajor
+  --layout rowpanel|colmajor          (default colmajor)
   --strategy vdup|shuf|scalar|auto
-  --mr N --nr N --ku N --unroll N
+  --mr N --nr N --ku N --unroll N     (default: the served configuration)
   --small MxNxK   analyze the batched small-GEMM kernel for these extents
   --epi LIST      fused epilogue for --small: comma-separated scale,bias,relu
   --prefetch DIST | --no-prefetch
@@ -91,30 +92,13 @@ usage: mirlint [--kernel K] [--isa I] [config options] [--text] [--sweep]
   --no-semantics  skip translation validation
   --text          human-readable findings instead of JSON
   --sweep         analyze every op x layout x ISA x strategy x tile config
-  --search-sample N  (with --sweep) also analyze N random tuner-search points
-  --search-seed S    RNG seed for --search-sample (default 2013)
+  --search-sample N  (with --sweep) also analyze N tuner-search cells
   --artifact P    (with --sweep) write a JSON artifact of the results
   --check-artifact P --section bounds|semantics|search_sample
                   gate on one section of a previously written artifact
 exit: 0 = no errors (warnings allowed), 1 = error findings or bad usage
 )");
   std::exit(code);
-}
-
-std::optional<KernelKind> parse_kernel(const std::string& s) {
-  for (KernelKind k : {KernelKind::kGemm, KernelKind::kGemv, KernelKind::kAxpy,
-                       KernelKind::kDot, KernelKind::kScal})
-    if (s == frontend::kernel_kind_name(k)) return k;
-  return std::nullopt;
-}
-
-std::optional<Isa> parse_isa(const std::string& s) {
-  for (Isa i : {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4}) {
-    std::string name = isa_name(i);
-    for (char& c : name) c = static_cast<char>(std::tolower(c));
-    if (s == name) return i;
-  }
-  return std::nullopt;
 }
 
 struct Case {
@@ -301,7 +285,7 @@ int check_artifact(const std::string& path, const std::string& section) {
 }
 
 int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
-              std::uint64_t search_seed, const std::string& artifact_path) {
+              const std::string& artifact_path) {
   SweepStats stats;
   constexpr int kProgressEvery = 128;
   int visited = 0;
@@ -475,34 +459,39 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
         }
   }
 
-  // --search-sample: draw N random points from the tuner's own search
-  // spaces (tuning/search.hpp) and push them through the same analysis.
-  // The hill climb can reach any of these; every one must bounds-prove
-  // even though the fixed grid above never visits it.
+  // --search-sample: N cells spread evenly over the tuner's own search
+  // spaces (tuning/search.hpp) — every ISA's GEMM space and the Level-1/2
+  // space of each Level-1/2 kind — pushed through the same analysis. The
+  // climb can reach any of them; every one must bounds-prove even though
+  // the fixed grid above never visits it.
   if (search_sample > 0) {
-    Rng rng(search_seed);
+    std::vector<Case> cells;
+    for (Isa isa : isas)
+      for (KernelKind op : {KernelKind::kGemm, KernelKind::kGemv,
+                            KernelKind::kAxpy, KernelKind::kDot,
+                            KernelKind::kScal}) {
+        const tuning::SearchSpace space = op == KernelKind::kGemm
+                                              ? tuning::SearchSpace::gemm(isa)
+                                              : tuning::SearchSpace::level1();
+        for (const tuning::Point& p : space.all_points()) {
+          Case c;
+          c.op = op;
+          c.params = space.materialize(p);
+          // The layout and strategy the tuner generates every point with.
+          c.layout = BLayout::kColMajor;
+          c.config.isa = isa;
+          c.config.strategy = opt::VecStrategy::kVdup;
+          cells.push_back(c);
+        }
+      }
+    const std::size_t n =
+        std::min(static_cast<std::size_t>(search_sample), cells.size());
     sampled = true;
-    const KernelKind l1_ops[] = {KernelKind::kGemv, KernelKind::kAxpy,
-                                 KernelKind::kDot, KernelKind::kScal};
-    for (int i = 0; i < search_sample; ++i) {
-      const Isa isa = isas[rng.engine()() % 4];
-      const bool gemm = rng.engine()() % 2 == 0;
-      const tuning::SearchSpace space =
-          gemm ? tuning::SearchSpace::gemm(isa) : tuning::SearchSpace::level1();
-      Case c;
-      c.params = space.materialize(space.random_point(rng));
-      c.op = gemm ? KernelKind::kGemm : l1_ops[rng.engine()() % 4];
-      // The layout and strategy the tuner generates every point with.
-      c.layout = BLayout::kColMajor;
-      c.config.isa = isa;
-      c.config.strategy = opt::VecStrategy::kVdup;
-      visit(c);
-    }
+    for (std::size_t i = 0; i < n; ++i) visit(cells[i * cells.size() / n]);
     sampled = false;
-    std::printf("mirlint search-sample: %d points drawn (seed %llu), "
-                "%d analyzed, %d error finding(s)\n",
-                search_sample, (unsigned long long)search_seed, stats.sampled,
-                stats.errors_search);
+    std::printf("mirlint search-sample: %zu of %zu search cells, %d "
+                "analyzed, %d error finding(s)\n",
+                n, cells.size(), stats.sampled, stats.errors_search);
   }
 
   // Count distinct failing configs (a config can fail both sections).
@@ -543,15 +532,12 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Case c;
-  c.config.isa = Isa::kFma3;
   bool with_bounds = true;
   bool with_semantics = false;  // single-case default; --sweep defaults on
   bool semantics_set = false;
   bool as_text = false;
   bool sweep = false;
   int search_sample = 0;
-  std::uint64_t search_seed = 2013;
   std::string artifact_path;
   std::string check_path;
   std::string section;
@@ -567,18 +553,35 @@ int main(int argc, char** argv) {
     return argv[++i];
   };
 
+  // First pass for --kernel/--isa: the case starts from the configuration
+  // augemc and the runtime serve for them, and the options below override it.
+  KernelKind kind = KernelKind::kGemm;
+  Isa isa = Isa::kFma3;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       usage(0);
     } else if (arg == "--kernel") {
-      const auto k = parse_kernel(need_value(i));
+      const auto k = cli::parse_kernel(need_value(i));
       if (!k) usage(1);
-      c.op = *k;
+      kind = *k;
     } else if (arg == "--isa") {
-      const auto isa = parse_isa(need_value(i));
-      if (!isa) usage(1);
-      c.config.isa = *isa;
+      const auto parsed = cli::parse_isa(need_value(i));
+      if (!parsed) usage(1);
+      isa = *parsed;
+    }
+  }
+  const GenerateOptions served = default_options(kind, isa);
+  Case c;
+  c.op = kind;
+  c.layout = served.layout;
+  c.config = served.config;
+  c.params = served.params;
+
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--kernel" || arg == "--isa") {
+      ++i;  // handled above
     } else if (arg == "--layout") {
       const std::string v = need_value(i);
       if (v == "rowpanel") c.layout = BLayout::kRowPanel;
@@ -647,8 +650,6 @@ int main(int argc, char** argv) {
       check_path = need_value(i);
     } else if (arg == "--search-sample") {
       search_sample = std::stoi(need_value(i));
-    } else if (arg == "--search-seed") {
-      search_seed = std::stoull(need_value(i));
     } else if (arg == "--section") {
       section = need_value(i);
       if (section != "bounds" && section != "semantics" &&
@@ -694,7 +695,7 @@ int main(int argc, char** argv) {
 
   try {
     if (sweep)
-      return run_sweep(with_bounds, with_semantics, search_sample, search_seed,
+      return run_sweep(with_bounds, with_semantics, search_sample,
                        artifact_path);
     return analyze_case(c, with_bounds, with_semantics, as_text,
                         /*print=*/true) > 0

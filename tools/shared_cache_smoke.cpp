@@ -18,9 +18,9 @@
 //   3. a client blocked behind a lock holder that is then SIGKILLed
 //      completes with one tune and one build of the key; afterwards every
 //      kernels/*.so hashes to its record and no temp file is left;
-//   4. with AUGEM_TUNE_SEED, AUGEM_TUNE_SYNTHETIC and AUGEM_BENCH_REPS
-//      pinned, the trial log a client stores equals an in-process
-//      tune_gemm's;
+//   4. with AUGEM_TUNE_SYNTHETIC and AUGEM_BENCH_REPS set, the trial log a
+//      client stores equals an in-process tune_gemm's (the climb is
+//      deterministic: same start, same neighbor order);
 //   5. under the same settings `augem_tunedb retune` reports `unchanged`
 //      and leaves the database file byte-identical.
 //
@@ -296,8 +296,8 @@ int run_parent(const std::string& self, const std::string& tunedb) {
   const std::string root = tmpl;
   const std::string dir = root + "/cache";
   for (const char* var :
-       {"AUGEM_CACHE_DIR", "AUGEM_DISABLE_TUNE_CACHE", "AUGEM_TUNE_SEED",
-        "AUGEM_TUNE_SYNTHETIC", "AUGEM_BENCH_REPS"})
+       {"AUGEM_CACHE_DIR", "AUGEM_DISABLE_TUNE_CACHE", "AUGEM_TUNE_SYNTHETIC",
+        "AUGEM_BENCH_REPS"})
     ::unsetenv(var);
 
   // 1. Cold clients behind a start barrier: one tune and one build per key.
@@ -380,18 +380,15 @@ int run_parent(const std::string& self, const std::string& tunedb) {
   std::fprintf(stderr, "[smoke] killed lock holder: 1 tune, 1 build, "
                        "artifacts match their records, no temp file\n");
 
-  // 4. Pinned seed: the stored trial log is the in-process search's.
-  const std::string seeded = root + "/seeded";
-  ::setenv("AUGEM_TUNE_SEED", "424242", 1);
+  // 4. Synthetic scores: the stored trial log is the in-process search's.
+  const std::string synthetic = root + "/synthetic";
   ::setenv("AUGEM_TUNE_SYNTHETIC", "1", 1);
   ::setenv("AUGEM_BENCH_REPS", "1", 1);
-  run_clients(self, seeded, "gemm", 1, false, "seeded");
+  run_clients(self, synthetic, "gemm", 1, false, "synthetic");
   const KernelKey gemm = large_key("gemm");
   TunedVariant stored;
-  SMOKE_CHECK(TuningDatabase(seeded).lookup(gemm, stored),
-              "seeded record missing");
-  SMOKE_CHECK(stored.search && stored.search->seed == 424242ull,
-              "stored search ignored AUGEM_TUNE_SEED");
+  SMOKE_CHECK(TuningDatabase(synthetic).lookup(gemm, stored),
+              "synthetic record missing");
   const augem::tuning::TuneResult ref_tune = augem::tuning::tune_gemm(
       gemm.isa, quick_workload(), augem::tuning::SearchOptions::from_env());
   SMOKE_CHECK(ref_tune.trials.size() == stored.trial_log.size(),
@@ -410,14 +407,14 @@ int run_parent(const std::string& self, const std::string& tunedb) {
                 "trial %zu diverges: %s vs %s", i, a.describe().c_str(),
                 b.describe().c_str());
   }
-  std::fprintf(stderr, "[smoke] pinned seed: %zu identical trials\n",
+  std::fprintf(stderr, "[smoke] synthetic search: %zu identical trials\n",
                ref_tune.trials.size());
 
-  // 5. Retune under the same pinned settings reproduces the incumbent.
-  const std::string db_file = TuningDatabase(seeded).file_path();
+  // 5. Retune under the same settings reproduces the incumbent.
+  const std::string db_file = TuningDatabase(synthetic).file_path();
   const std::string before = read_file(db_file);
   const std::string retune_out = root + "/retune.txt";
-  wait_ok(spawn({tunedb, "--dir", seeded, "retune", "gemm", "large",
+  wait_ok(spawn({tunedb, "--dir", synthetic, "retune", "gemm", "large",
                  "--quick"},
                 retune_out),
           "augem_tunedb retune");
@@ -425,7 +422,7 @@ int run_parent(const std::string& self, const std::string& tunedb) {
   SMOKE_CHECK(verdict.rfind("unchanged", 0) == 0, "retune printed '%s'",
               verdict.c_str());
   SMOKE_CHECK(read_file(db_file) == before, "retune changed the database");
-  std::fprintf(stderr, "[smoke] pinned retune: unchanged, db untouched\n");
+  std::fprintf(stderr, "[smoke] synthetic retune: unchanged, db untouched\n");
 
   std::error_code ec;
   fs::remove_all(root, ec);
