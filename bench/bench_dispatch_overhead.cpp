@@ -36,15 +36,8 @@ rt::RuntimeConfig dir_config(const std::string& dir) {
   cfg.cache_dir = dir;
   cfg.use_persistent = true;
   if (const char* env = std::getenv("AUGEM_BENCH_QUICK");
-      env != nullptr && env[0] == '1') {
-    tuning::TuneWorkload w;
-    w.mc = 32;
-    w.nc = 32;
-    w.kc = 64;
-    w.vec_len = 2048;
-    w.reps = 1;
-    cfg.workload_override = w;
-  }
+      env != nullptr && env[0] == '1')
+    cfg.workload_override = tuning::kQuickTuneWorkload;
   return cfg;
 }
 

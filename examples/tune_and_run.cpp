@@ -1,5 +1,5 @@
 // Empirical tuning demo (paper §2.1): search the unroll / unroll&jam /
-// strategy space for this machine, print the whole trial table, then build
+// prefetch space for this machine, print the whole trial table, then build
 // a KernelSet from the winner and compare against the untuned defaults.
 //
 //   build/examples/tune_and_run
@@ -32,7 +32,7 @@ int main() {
 
   // 2. Build kernel sets from the winner and from the defaults.
   const KernelSet defaults(isa);
-  const KernelSet tuned(isa, gemm.params, gemm.config.strategy, dot.params);
+  const KernelSet tuned(isa, gemm.params, opt::VecStrategy::kVdup, dot.params);
 
   // 3. Compare on a full GEMM through the threaded blocked driver.
   const long mn = 768, k = 256;

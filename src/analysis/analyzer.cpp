@@ -18,12 +18,10 @@ AnalysisReport analyze(const opt::MInstList& insts,
   run_flags_check(cfg, report);
   run_definite_assignment(cfg, options.num_f64_params, report);
   run_dead_store_check(cfg, report);
-  run_queue_reuse_check(cfg, options.queue_reuse_window, report);
+  run_queue_reuse_check(cfg, report);
 
   if (options.contract != nullptr) {
-    BoundsOptions bo;
-    bo.prefetch_slack_bytes = options.prefetch_slack_bytes;
-    run_bounds_check(insts, *options.contract, bo, report);
+    run_bounds_check(insts, *options.contract, report);
     if (options.semantics != nullptr)
       run_semantics_check(insts, *options.contract, *options.semantics,
                           report);

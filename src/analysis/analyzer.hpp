@@ -33,8 +33,6 @@ struct AnalyzeOptions {
   /// of the kernel are proven equivalent to the reference semantics named
   /// by the spec (see analysis/semantics.hpp).
   const SemanticsSpec* semantics = nullptr;
-  int queue_reuse_window = 2;   ///< see run_queue_reuse_check
-  int prefetch_slack_bytes = 1024;
 };
 
 AnalysisReport analyze(const opt::MInstList& insts,

@@ -27,14 +27,17 @@ using symexec::kRsp0;
 using symexec::LoopShape;
 using symexec::SymVal;
 
+/// Bytes a prefetch may range beyond (or before) its buffer.
+constexpr std::int64_t kPrefetchSlackBytes = 1024;
+
 /// The bounds prover: the shared symbolic engine plus the access-checking
 /// policy (what must be proven about each load/store/prefetch and what an
 /// uninterpretable shape means — a single bounds-unsupported error).
 class BoundsEngine : private symexec::SymExec {
  public:
   BoundsEngine(const MInstList& insts, const KernelContract& contract,
-               const BoundsOptions& opts, AnalysisReport& report)
-      : SymExec(insts, contract), opts_(opts), report_(report) {}
+               AnalysisReport& report)
+      : SymExec(insts, contract), report_(report) {}
 
   void run() {
     IntState st = initial_state();
@@ -42,7 +45,6 @@ class BoundsEngine : private symexec::SymExec {
   }
 
  private:
-  const BoundsOptions& opts_;
   AnalysisReport& report_;
   bool bailed_ = false;
 
@@ -105,7 +107,7 @@ class BoundsEngine : private symexec::SymExec {
       return;
     }
     const Poly off = addr - Poly::variable(buf->param);
-    const std::int64_t slack = is_prefetch ? opts_.prefetch_slack_bytes : 0;
+    const std::int64_t slack = is_prefetch ? kPrefetchSlackBytes : 0;
     const Severity sev = is_prefetch ? Severity::kWarning : Severity::kError;
     const char* kind =
         is_prefetch ? "oob-prefetch" : (is_write ? "oob-store" : "oob-load");
@@ -290,8 +292,8 @@ class BoundsEngine : private symexec::SymExec {
 }  // namespace
 
 void run_bounds_check(const MInstList& insts, const KernelContract& contract,
-                      const BoundsOptions& opts, AnalysisReport& report) {
-  BoundsEngine(insts, contract, opts, report).run();
+                      AnalysisReport& report) {
+  BoundsEngine(insts, contract, report).run();
 }
 
 }  // namespace augem::analysis

@@ -11,8 +11,8 @@
 //
 // against the KernelContract's buffer extents and arithmetic facts
 // (divisibility of block sizes by register tiles, mc <= ldc, …).
-// Prefetches get a configurable slack window on both sides (they are
-// hints and cannot fault); stores additionally require a writable buffer.
+// Prefetches get a slack window of 1 KiB on both sides (they are hints
+// and cannot fault); stores additionally require a writable buffer.
 //
 // The pass is sound over the shapes the generator emits (pre-guarded
 // counted loops `init; cmp; jge END; HEAD: …; add; cmp; jl HEAD; END:`,
@@ -27,13 +27,7 @@
 
 namespace augem::analysis {
 
-struct BoundsOptions {
-  /// Bytes a prefetch may range beyond (or before) its buffer.
-  int prefetch_slack_bytes = 1024;
-};
-
 void run_bounds_check(const opt::MInstList& insts,
-                      const KernelContract& contract,
-                      const BoundsOptions& opts, AnalysisReport& report);
+                      const KernelContract& contract, AnalysisReport& report);
 
 }  // namespace augem::analysis

@@ -156,8 +156,10 @@ void run_dead_store_check(const Cfg& cfg, AnalysisReport& report) {
   }
 }
 
-void run_queue_reuse_check(const Cfg& cfg, int window,
-                           AnalysisReport& report) {
+void run_queue_reuse_check(const Cfg& cfg, AnalysisReport& report) {
+  // How many instructions after a non-copy use of a vector register a
+  // load-class redefinition of it is considered "in flight".
+  constexpr int kWindow = 2;
   const MInstList& insts = *cfg.insts;
   auto is_load_class = [](MOp op) {
     return op == MOp::kVLoad || op == MOp::kVBroadcast || op == MOp::kFLoad;
@@ -170,12 +172,12 @@ void run_queue_reuse_check(const Cfg& cfg, int window,
     for (std::size_t i = b.first; i < b.last; ++i) {
       const MInst& inst = insts[i];
       if (!is_load_class(inst.op) || inst.vdst == Vr::kNoVr) continue;
-      // Scan the previous `window` real instructions of the block for a
+      // Scan the previous kWindow real instructions of the block for a
       // pending non-copy use of the register being reloaded. Register
       // copies (kVMov) are excluded: the generator emits them precisely to
       // break this dependence before rotating the queue.
       int seen = 0;
-      for (std::size_t j = i; j-- > b.first && seen < window;) {
+      for (std::size_t j = i; j-- > b.first && seen < kWindow;) {
         if (is_meta(insts[j].op)) continue;
         ++seen;
         if (insts[j].op == MOp::kVMov) continue;

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "support/json.hpp"
+
 namespace augem::analysis {
 
 const char* severity_name(Severity s) {
@@ -31,42 +33,18 @@ std::string AnalysisReport::to_string(const opt::MInstList& insts) const {
   return os.str();
 }
 
-std::string json_escape(const std::string& s) {
-  std::ostringstream os;
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  return os.str();
-}
-
 std::string AnalysisReport::to_json(const opt::MInstList& insts) const {
-  std::ostringstream os;
-  os << "[";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    if (i) os << ",";
-    os << "{\"index\":" << f.index << ",\"severity\":\""
-       << severity_name(f.severity) << "\",\"kind\":\"" << json_escape(f.kind)
-       << "\",\"message\":\"" << json_escape(f.message) << "\"";
-    if (f.index < insts.size())
-      os << ",\"inst\":\"" << json_escape(insts[f.index].to_string()) << "\"";
-    os << "}";
+  Json out = Json::array();
+  for (const Finding& f : findings) {
+    Json j = Json::object();
+    j["index"] = Json(static_cast<double>(f.index));
+    j["severity"] = Json(severity_name(f.severity));
+    j["kind"] = Json(f.kind);
+    j["message"] = Json(f.message);
+    if (f.index < insts.size()) j["inst"] = Json(insts[f.index].to_string());
+    out.push_back(std::move(j));
   }
-  os << "]";
-  return os.str();
+  return out.dump();
 }
 
 }  // namespace augem::analysis

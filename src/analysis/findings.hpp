@@ -48,7 +48,4 @@ struct AnalysisReport {
   std::string to_json(const opt::MInstList& insts) const;
 };
 
-/// Escapes a string for embedding in a JSON literal.
-std::string json_escape(const std::string& s);
-
 }  // namespace augem::analysis

@@ -32,8 +32,8 @@ void run_definite_assignment(const Cfg& cfg, int num_f64_params,
 
 void run_dead_store_check(const Cfg& cfg, AnalysisReport& report);
 
-/// `window`: how many instructions after a non-copy use of a vector
-/// register a load-class redefinition of it is considered "in flight".
-void run_queue_reuse_check(const Cfg& cfg, int window, AnalysisReport& report);
+/// A load-class redefinition of a vector register within two instructions
+/// of a non-copy use of it is considered "in flight".
+void run_queue_reuse_check(const Cfg& cfg, AnalysisReport& report);
 
 }  // namespace augem::analysis

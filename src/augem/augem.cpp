@@ -13,9 +13,6 @@ GenerateOptions default_options(KernelKind kind, Isa isa) {
   GenerateOptions o;
   o.params = transform::default_params(kind, isa);
   o.config.isa = isa;
-  // Level-1/2 kernels let the planner pick; GEMM reads column-major B,
-  // where only Vdup applies.
-  if (kind == KernelKind::kGemm) o.config.strategy = VecStrategy::kVdup;
   return o;
 }
 
@@ -67,7 +64,6 @@ GenerateOptions default_small_gemm_options(const frontend::SmallGemmSpec& spec,
                                            Isa isa) {
   GenerateOptions o;
   o.config.isa = isa;
-  o.config.strategy = VecStrategy::kVdup;
   o.params = small_gemm_params(spec, isa);
   return o;
 }
@@ -105,18 +101,18 @@ void KernelSet::build(Isa isa, const CGenParams& gemm_params,
   gemm_mr_ = gemm_params.mr;
   gemm_nr_ = gemm_params.nr;
 
-  auto make = [&](KernelKind kind, const CGenParams& p, VecStrategy s) {
+  auto make = [&](KernelKind kind, const CGenParams& p) {
     GenerateOptions o;
     o.params = p;
     o.config.isa = isa;
-    o.config.strategy = s;
+    if (kind == KernelKind::kGemm) o.config.strategy = gemm_strategy;
     return generate_kernel(kind, o);
   };
-  const auto g = make(KernelKind::kGemm, gemm_params, gemm_strategy);
-  const auto v = make(KernelKind::kGemv, level1_params, VecStrategy::kAuto);
-  const auto a = make(KernelKind::kAxpy, level1_params, VecStrategy::kAuto);
-  const auto d = make(KernelKind::kDot, level1_params, VecStrategy::kAuto);
-  const auto sc = make(KernelKind::kScal, level1_params, VecStrategy::kAuto);
+  const auto g = make(KernelKind::kGemm, gemm_params);
+  const auto v = make(KernelKind::kGemv, level1_params);
+  const auto a = make(KernelKind::kAxpy, level1_params);
+  const auto d = make(KernelKind::kDot, level1_params);
+  const auto sc = make(KernelKind::kScal, level1_params);
   asm_[0] = g.asm_text;
   asm_[1] = v.asm_text;
   asm_[2] = a.asm_text;

@@ -32,7 +32,7 @@ struct GenerateOptions {
 
 /// The options an untuned `kind` kernel for `isa` is served with:
 /// transform::default_params (the tuner's starting cell), the driver's
-/// column-major B, and Vdup for GEMM.
+/// column-major B, and the default opt::OptConfig (Vdup).
 GenerateOptions default_options(frontend::KernelKind kind, Isa isa);
 
 /// Runs the full pipeline for one kernel.

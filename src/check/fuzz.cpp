@@ -134,7 +134,7 @@ struct CaseConfig {
   KernelKind op = KernelKind::kGemm;
   BLayout layout = BLayout::kRowPanel;
   Isa isa = Isa::kAvx;
-  opt::VecStrategy strategy = opt::VecStrategy::kAuto;
+  opt::VecStrategy strategy = opt::VecStrategy::kVdup;
   transform::CGenParams params;
 
   std::string to_string() const {
@@ -165,9 +165,9 @@ CaseConfig draw_config(Rng& rng) {
   c.op = pick(rng, kOps);
   constexpr Isa kIsas[4] = {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4};
   c.isa = pick(rng, kIsas);
-  constexpr opt::VecStrategy kStrategies[4] = {
-      opt::VecStrategy::kAuto, opt::VecStrategy::kVdup,
-      opt::VecStrategy::kShuf, opt::VecStrategy::kScalar};
+  constexpr opt::VecStrategy kStrategies[3] = {opt::VecStrategy::kVdup,
+                                               opt::VecStrategy::kShuf,
+                                               opt::VecStrategy::kScalar};
   c.strategy = pick(rng, kStrategies);
   if (c.op == KernelKind::kGemm)
     c.layout =
@@ -182,7 +182,6 @@ CaseConfig draw_config(Rng& rng) {
   c.params.prefetch.enabled = rng.uniform_int(0, 1) != 0;
   constexpr int kDistances[4] = {4, 8, 16, 32};
   c.params.prefetch.distance = pick(rng, kDistances);
-  c.params.prefetch.prefetch_stores = rng.uniform_int(0, 1) != 0;
   return c;
 }
 

@@ -1,5 +1,7 @@
 #include "frontend/kernels.hpp"
 
+#include <strings.h>
+
 #include "support/error.hpp"
 
 namespace augem::frontend {
@@ -15,6 +17,13 @@ const char* kernel_kind_name(KernelKind k) {
     case KernelKind::kScal: return "scal";
   }
   return "?";
+}
+
+std::optional<KernelKind> parse_kernel_kind(const std::string& name) {
+  for (KernelKind k : {KernelKind::kGemm, KernelKind::kGemv, KernelKind::kAxpy,
+                       KernelKind::kDot, KernelKind::kScal})
+    if (strcasecmp(name.c_str(), kernel_kind_name(k)) == 0) return k;
+  return std::nullopt;
 }
 
 ir::Kernel make_gemm_kernel(BLayout layout, const std::string& name) {

@@ -7,6 +7,7 @@
 // the generated assembly functions (see asmgen/abi.hpp). All extents are
 // `long`, all data is `double`.
 
+#include <optional>
 #include <string>
 
 #include "ir/kernel.hpp"
@@ -37,6 +38,9 @@ enum class BLayout {
 enum class KernelKind { kGemm, kGemv, kAxpy, kDot, kScal };
 
 const char* kernel_kind_name(KernelKind k);
+/// Inverse of kernel_kind_name, in either case ("gemm" or "GEMM"); nullopt
+/// for any other name.
+std::optional<KernelKind> parse_kernel_kind(const std::string& name);
 
 /// GEMM inner kernel over packed blocks (Goto-style, paper Fig. 12):
 ///

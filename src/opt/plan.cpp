@@ -13,12 +13,18 @@ using match::UnrolledShape;
 
 const char* vec_strategy_name(VecStrategy s) {
   switch (s) {
-    case VecStrategy::kAuto: return "auto";
     case VecStrategy::kVdup: return "vdup";
     case VecStrategy::kShuf: return "shuf";
     case VecStrategy::kScalar: return "scalar";
   }
   return "?";
+}
+
+std::optional<VecStrategy> parse_vec_strategy(std::string_view name) {
+  for (VecStrategy s :
+       {VecStrategy::kVdup, VecStrategy::kShuf, VecStrategy::kScalar})
+    if (name == vec_strategy_name(s)) return s;
+  return std::nullopt;
 }
 
 namespace {

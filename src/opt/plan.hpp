@@ -9,8 +9,10 @@
 // zero the right registers, and post-loop reductions are placed correctly.
 
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "match/identifier.hpp"
@@ -20,19 +22,24 @@
 namespace augem::opt {
 
 /// Vectorization strategy selection (paper §3.4 names the two methods).
+/// Every kernel is served with Vdup: blocked GEMM packs B column-major
+/// (blas/pack.hpp), where Shuf does not apply. The values are stable
+/// (test names print them).
 enum class VecStrategy {
-  kAuto,    ///< Vdup where it applies; the tuner tries both explicitly
-  kVdup,    ///< Vld-Vdup-Vmul-Vadd (broadcast the B element)
-  kShuf,    ///< Vld-Vld-Vmul-Vadd + Shufi rotations (needs contiguous B)
-  kScalar,  ///< disable SIMD: the §3.1-3.3 scalar optimizers only (ablation)
+  kVdup = 1,  ///< Vld-Vdup-Vmul-Vadd (broadcast the B element)
+  kShuf,      ///< Vld-Vld-Vmul-Vadd + Shufi rotations (needs row-panel B)
+  kScalar,    ///< disable SIMD: the §3.1-3.3 scalar optimizers only (ablation)
 };
 
+/// "vdup", "shuf" or "scalar".
 const char* vec_strategy_name(VecStrategy s);
+/// Inverse of vec_strategy_name; nullopt for any other name.
+std::optional<VecStrategy> parse_vec_strategy(std::string_view name);
 
 /// All machine-level knobs of the Template Optimizer.
 struct OptConfig {
   Isa isa = Isa::kAvx;
-  VecStrategy strategy = VecStrategy::kAuto;
+  VecStrategy strategy = VecStrategy::kVdup;
   RegAllocPolicy regalloc = RegAllocPolicy::kPerArrayQueues;
   bool schedule = true;  ///< run the instruction scheduler on loop bodies
 };

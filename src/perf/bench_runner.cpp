@@ -9,6 +9,16 @@
 
 namespace augem::perf {
 
+namespace {
+
+/// A warmup run within this fraction of the best time seen so far means
+/// the workload has stopped improving and measurement can begin.
+constexpr double kWarmupTolerance = 0.10;
+/// Frequency drift beyond this fraction marks the measurement unstable.
+constexpr double kMaxFreqDrift = 0.10;
+
+}  // namespace
+
 RunnerOptions RunnerOptions::from_env() { return from_env(RunnerOptions{}); }
 
 RunnerOptions RunnerOptions::from_env(RunnerOptions base) {
@@ -62,7 +72,7 @@ Measurement BenchRunner::run(double flops,
     const double s = time_call(fn);
     ++m.warmup_runs;
     if (i > 0 && i + 1 >= options_.warmup_min_reps &&
-        s <= best * (1.0 + options_.warmup_tolerance))
+        s <= best * (1.0 + kWarmupTolerance))
       break;
     best = (i == 0) ? s : std::min(best, s);
   }
@@ -89,7 +99,7 @@ Measurement BenchRunner::run(double flops,
     const double probe_after = frequency_probe_s();
     if (probe_before > 0.0)
       m.freq_drift = std::abs(probe_after / probe_before - 1.0);
-    m.frequency_stable = m.freq_drift <= options_.max_freq_drift;
+    m.frequency_stable = m.freq_drift <= kMaxFreqDrift;
   }
   return m;
 }

@@ -32,14 +32,9 @@ struct RunnerOptions {
   double max_seconds = 2.0;     ///< wall budget per measurement (post-warmup)
   int warmup_min_reps = 1;
   int warmup_max_reps = 8;
-  /// A warmup run within this fraction of the best time seen so far means
-  /// the workload has stopped improving and measurement can begin.
-  double warmup_tolerance = 0.10;
   /// Run the frequency probe around the samples (off for sub-microsecond
   /// workloads where the probe itself would dominate).
   bool check_frequency = true;
-  /// Frequency drift beyond this fraction marks the measurement unstable.
-  double max_freq_drift = 0.10;
 
   /// Honors AUGEM_BENCH_REPS=n (the historical quick-smoke knob): fixed n
   /// reps, one warmup run, no frequency probe. Returns the options

@@ -77,7 +77,6 @@ std::shared_ptr<CachedKernel> build_variant(const KernelKey& key,
                                 ? default_small_gemm_options(*key.small, key.isa)
                                 : default_options(key.kind, key.isa);
   options.params = variant.params;
-  options.config.isa = key.isa;
   options.config.strategy = variant.strategy;
   const asmgen::GeneratedKernel gen =
       key.small ? generate_small_gemm_kernel(*key.small, options)
@@ -112,21 +111,14 @@ RuntimeCounters KernelRuntime::counters() const {
   return c;
 }
 
-TunedVariant KernelRuntime::choose_variant(const KernelKey& key) {
-  TunedVariant v;
-  if (db_ != nullptr && db_->lookup(key, v)) {
-    db_hits_.fetch_add(1, std::memory_order_relaxed);
-    return v;
-  }
+TunedVariant KernelRuntime::miss_variant(const KernelKey& key) {
   db_misses_.fetch_add(1, std::memory_order_relaxed);
+  TunedVariant v;  // mflops 0 marks an untimed entry
   if (key.small) {
     // Small-GEMM variants skip the empirical tuner: with every extent a
     // compile-time constant the register tile follows from the shape, and
     // the batched serving path cannot afford a search per (shape, epilogue).
-    // mflops 0 marks the entry as untimed.
-    const GenerateOptions o = default_small_gemm_options(*key.small, key.isa);
-    v.params = o.params;
-    v.strategy = o.config.strategy;
+    v.params = default_small_gemm_options(*key.small, key.isa).params;
   } else if (config_.tune_on_miss) {
     tuner_runs_.fetch_add(1, std::memory_order_relaxed);
     const tuning::TuneWorkload w = config_.workload_override
@@ -139,10 +131,8 @@ TunedVariant KernelRuntime::choose_variant(const KernelKey& key) {
     v = TunedVariant::from_tune_result(r);
   } else {
     // No search: the per-ISA default configuration (what an untuned
-    // KernelSet would build). mflops 0 marks the entry as untimed.
-    const GenerateOptions o = default_options(key.kind, key.isa);
-    v.params = o.params;
-    v.strategy = o.config.strategy;
+    // KernelSet would build).
+    v.params = default_options(key.kind, key.isa).params;
   }
   return v;
 }
@@ -162,7 +152,7 @@ std::shared_ptr<const CachedKernel> KernelRuntime::build_kernel(
     const KernelKey& key) {
   if (db_ == nullptr) {
     builds_.fetch_add(1, std::memory_order_relaxed);
-    return build_variant(key, choose_variant(key));
+    return build_variant(key, miss_variant(key));
   }
   // Warm path: a published artifact whose bytes match the record.
   if (auto kernel = load_published(key)) return kernel;
@@ -174,9 +164,23 @@ std::shared_ptr<const CachedKernel> KernelRuntime::build_kernel(
   const KeyLock lock(*db_, key);
   db_->reload();
   if (auto kernel = load_published(key)) return kernel;
-  const TunedVariant variant = choose_variant(key);
   builds_.fetch_add(1, std::memory_order_relaxed);
-  auto kernel = build_variant(key, variant);
+  TunedVariant variant;
+  std::shared_ptr<CachedKernel> kernel;
+  if (db_->lookup(key, variant)) {
+    // A stored variant the generator rejects (a tile the planner or the
+    // register allocator refuses) resolves as a miss below, and the new
+    // record replaces it, so a bad record cannot fail every call of its key.
+    try {
+      kernel = build_variant(key, variant);
+      db_hits_.fetch_add(1, std::memory_order_relaxed);
+    } catch (const Error&) {
+    }
+  }
+  if (kernel == nullptr) {
+    variant = miss_variant(key);
+    kernel = build_variant(key, variant);
+  }
   kernel->variant = publish_and_store(*db_, key, variant, *kernel);
   return kernel;
 }

@@ -11,9 +11,10 @@
 //      hash to the record: map that .so, no build (runtime/artifact.hpp);
 //   3. otherwise, under the key's lock file in the cache directory, with
 //      the database re-read: 2 if another process published meanwhile;
-//      else regenerate the stored variant, or on a miss run the empirical
-//      tuner first, through the full mirlint-verified generation pipeline,
-//      assemble, publish the artifact and store the record.
+//      else regenerate the stored variant, or on a miss (or a stored
+//      variant the generator rejects) run the empirical tuner first,
+//      through the full mirlint-verified generation pipeline, assemble,
+//      publish the artifact and store the record.
 //
 // A memory-only runtime (use_persistent == false) skips 2 and 3's
 // directory steps: it tunes or picks defaults, builds and caches.
@@ -120,7 +121,9 @@ class KernelRuntime {
  private:
   std::shared_ptr<const CachedKernel> build_kernel(const KernelKey& key);
   std::shared_ptr<const CachedKernel> load_published(const KernelKey& key);
-  TunedVariant choose_variant(const KernelKey& key);
+  /// The variant a key without a usable record gets: tuned, or the
+  /// default configuration when tune_on_miss is off.
+  TunedVariant miss_variant(const KernelKey& key);
 
   RuntimeConfig config_;
   Isa isa_;

@@ -48,19 +48,6 @@ ShapeClass classify_vector_shape(std::int64_t n) {
   return n <= 4096 ? ShapeClass::kSmall : ShapeClass::kLarge;
 }
 
-std::optional<KernelKind> parse_kernel_kind(const std::string& name) {
-  for (KernelKind k : {KernelKind::kGemm, KernelKind::kGemv, KernelKind::kAxpy,
-                       KernelKind::kDot, KernelKind::kScal})
-    if (name == frontend::kernel_kind_name(k)) return k;
-  return std::nullopt;
-}
-
-std::optional<Isa> parse_isa(const std::string& name) {
-  for (Isa isa : {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4})
-    if (name == isa_name(isa)) return isa;
-  return std::nullopt;
-}
-
 std::string KernelKey::to_string() const {
   std::ostringstream os;
   os << frontend::kernel_kind_name(kind);

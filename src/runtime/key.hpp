@@ -41,10 +41,6 @@ ShapeClass classify_vector_shape(std::int64_t n);
 /// support/arch.hpp.
 using ::augem::cpu_signature;
 
-/// Round-trip helpers for persisted enum fields.
-std::optional<frontend::KernelKind> parse_kernel_kind(const std::string& name);
-std::optional<Isa> parse_isa(const std::string& name);
-
 /// The full cache key. `dtype` is always "f64" today; it is part of the
 /// key (and of the persisted record) so a future single-precision backend
 /// cannot collide with existing entries.

@@ -19,7 +19,6 @@ namespace augem::runtime {
 TunedVariant TunedVariant::from_tune_result(const tuning::TuneResult& r) {
   TunedVariant v;
   v.params = r.params;
-  v.strategy = r.config.strategy;
   v.mflops = r.mflops;
   v.search = r.search;
   v.trial_log = r.trials;
@@ -74,7 +73,7 @@ std::optional<KernelKey> decode_kernel_key(const Json& rec) {
   KernelKey key;
   key.cpu = *cpu;
   key.dtype = *dtype;
-  const auto kind = parse_kernel_kind(*kind_name);
+  const auto kind = frontend::parse_kernel_kind(*kind_name);
   const auto parsed_isa = parse_isa(*isa);
   const auto shape = parse_shape_class(*shape_name);
   if (!kind || !parsed_isa || !shape) return std::nullopt;
@@ -136,7 +135,6 @@ Json encode_tuned_variant(const TunedVariant& v) {
       tj["unroll"] = Json(t.params.unroll);
       tj["pf"] = Json(t.params.prefetch.enabled);
       tj["pfd"] = Json(t.params.prefetch.distance);
-      tj["strategy"] = Json(opt::vec_strategy_name(t.strategy));
       tj["mflops"] = Json(t.mflops);
       tj["ci"] = Json(t.ci_half);
       tj["reason"] = Json(tuning::infeasible_reason_name(t.reason));
@@ -165,7 +163,8 @@ namespace {
 /// (the variant itself stays usable) — same tolerance as the rest of the
 /// replay path. Fields this reader does not know (the seed, restart count,
 /// wall-clock budget and cap flag of records written by the earlier seeded
-/// search) are ignored.
+/// search, and the per-trial strategy of records written while the tuner
+/// had a strategy axis) are ignored.
 void decode_search_section(const Json& rec, TunedVariant& v) {
   const Json* s = rec.get("search");
   if (s == nullptr || !s->is_object()) return;
@@ -189,10 +188,8 @@ void decode_search_section(const Json& rec, TunedVariant& v) {
       const auto nr = tj.number("nr");
       const auto ku = tj.number("ku");
       const auto unroll = tj.number("unroll");
-      const auto strategy_name = tj.string("strategy");
       const auto reason_name = tj.string("reason");
-      if (!mr || !nr || !ku || !unroll || !strategy_name || !reason_name)
-        return;
+      if (!mr || !nr || !ku || !unroll || !reason_name) return;
       t.params.mr = static_cast<int>(*mr);
       t.params.nr = static_cast<int>(*nr);
       t.params.ku = static_cast<int>(*ku);
@@ -200,15 +197,6 @@ void decode_search_section(const Json& rec, TunedVariant& v) {
       t.params.prefetch.enabled = tj.boolean("pf").value_or(true);
       t.params.prefetch.distance =
           static_cast<int>(tj.number("pfd").value_or(16));
-      bool strategy_known = false;
-      for (opt::VecStrategy st :
-           {opt::VecStrategy::kAuto, opt::VecStrategy::kVdup,
-            opt::VecStrategy::kShuf, opt::VecStrategy::kScalar})
-        if (*strategy_name == opt::vec_strategy_name(st)) {
-          t.strategy = st;
-          strategy_known = true;
-        }
-      if (!strategy_known) return;
       if (!tuning::parse_infeasible_reason(*reason_name, t.reason)) return;
       t.feasible = t.reason == tuning::InfeasibleReason::kNone;
       t.mflops = tj.number("mflops").value_or(0.0);
@@ -258,15 +246,13 @@ std::optional<TunedVariant> decode_tuned_variant(const Json& rec) {
     v.params.prefetch.distance = static_cast<int>(*dist);
   v.mflops = *mflops;
 
-  bool strategy_known = false;
-  for (opt::VecStrategy s :
-       {opt::VecStrategy::kAuto, opt::VecStrategy::kVdup,
-        opt::VecStrategy::kShuf, opt::VecStrategy::kScalar})
-    if (*strategy_name == opt::vec_strategy_name(s)) {
-      v.strategy = s;
-      strategy_known = true;
-    }
-  if (!strategy_known) return std::nullopt;
+  // Records written while an "auto" strategy existed name the served Vdup
+  // kernel that way: it emitted exactly Vdup's instructions.
+  const auto strategy = *strategy_name == "auto"
+                            ? opt::VecStrategy::kVdup
+                            : opt::parse_vec_strategy(*strategy_name);
+  if (!strategy) return std::nullopt;
+  v.strategy = *strategy;
 
   // Reject parameter values no generator configuration can produce — a
   // bit-flipped record must not reach the kernel generator.

@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "opt/plan.hpp"
 #include "runtime/key.hpp"
 #include "support/json.hpp"
 #include "tuning/tuner.hpp"
@@ -50,7 +51,8 @@ struct KernelArtifact {
 /// `search` and `artifact` unset and an empty log.
 struct TunedVariant {
   transform::CGenParams params;
-  opt::VecStrategy strategy = opt::VecStrategy::kVdup;
+  /// The served default; a stored record may name another (Shuf, Scalar).
+  opt::VecStrategy strategy = opt::OptConfig{}.strategy;
   double mflops = 0.0;
   std::optional<tuning::SearchMeta> search;
   std::vector<tuning::Trial> trial_log;

@@ -1,6 +1,7 @@
 #include "support/arch.hpp"
 
 #include <cpuid.h>
+#include <strings.h>
 
 #include <array>
 #include <cmath>
@@ -20,6 +21,12 @@ const char* isa_name(Isa isa) {
     case Isa::kFma4: return "FMA4";
   }
   return "?";
+}
+
+std::optional<Isa> parse_isa(const std::string& name) {
+  for (Isa isa : {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4})
+    if (strcasecmp(name.c_str(), isa_name(isa)) == 0) return isa;
+  return std::nullopt;
 }
 
 int isa_vector_doubles(Isa isa) { return isa == Isa::kSse2 ? 2 : 4; }

@@ -7,6 +7,7 @@
 // (paper Fig. 2) and of the platform table the paper reports (Table 5).
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -25,6 +26,9 @@ enum class Isa : std::uint8_t {
 
 /// Human-readable ISA name ("SSE2", "AVX", "FMA3", "FMA4").
 const char* isa_name(Isa isa);
+/// Inverse of isa_name, in either case ("FMA3" or "fma3"); nullopt for any
+/// other name.
+std::optional<Isa> parse_isa(const std::string& name);
 
 /// Number of doubles per SIMD register for an ISA (2 for SSE2, else 4).
 int isa_vector_doubles(Isa isa);

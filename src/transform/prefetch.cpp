@@ -10,6 +10,10 @@ using namespace augem::ir;
 
 namespace {
 
+/// __builtin_prefetch locality hint of every inserted prefetch: 3 keeps the
+/// line in all cache levels.
+constexpr int kLocality = 3;
+
 bool is_innermost(const ForStmt& loop) {
   for (const StmtPtr& s : loop.body())
     if (s->kind() == StmtKind::kFor) return false;
@@ -50,20 +54,18 @@ std::set<std::string> stored_bases_shallow(const StmtList& body) {
 
 void process(StmtList& stmts, const PrefetchConfig& cfg) {
   // First: prefetch store targets of this body before each innermost loop.
-  if (cfg.prefetch_stores) {
-    const std::set<std::string> stores = stored_bases_shallow(stmts);
-    if (!stores.empty()) {
-      StmtList out;
-      for (StmtPtr& s : stmts) {
-        const auto* loop = as<ForStmt>(*s);
-        if (loop != nullptr && is_innermost(*loop)) {
-          for (const std::string& base : stores)
-            out.push_back(prefetch(base, ival(0), cfg.locality));
-        }
-        out.push_back(std::move(s));
+  const std::set<std::string> stores = stored_bases_shallow(stmts);
+  if (!stores.empty()) {
+    StmtList out;
+    for (StmtPtr& s : stmts) {
+      const auto* loop = as<ForStmt>(*s);
+      if (loop != nullptr && is_innermost(*loop)) {
+        for (const std::string& base : stores)
+          out.push_back(prefetch(base, ival(0), kLocality));
       }
-      stmts = std::move(out);
+      out.push_back(std::move(s));
     }
+    stmts = std::move(out);
   }
 
   for (StmtPtr& s : stmts) {
@@ -77,7 +79,7 @@ void process(StmtList& stmts, const PrefetchConfig& cfg) {
     StmtList& body = loop->mutable_body();
     StmtList out;
     for (const std::string& base : loaded_bases(body))
-      out.push_back(prefetch(base, ival(cfg.distance), cfg.locality));
+      out.push_back(prefetch(base, ival(cfg.distance), kLocality));
     for (StmtPtr& b : body) out.push_back(std::move(b));
     body = std::move(out);
   }

@@ -16,10 +16,6 @@ struct PrefetchConfig {
   bool enabled = true;
   /// Elements ahead for streamed (loaded) arrays in innermost loops.
   int distance = 16;
-  /// Prefetch the store targets of the enclosing body before inner loops.
-  bool prefetch_stores = true;
-  /// __builtin_prefetch locality hint (3 = keep in all cache levels).
-  int locality = 3;
 };
 
 /// Inserts prefetch statements per `config`. No-op when disabled.

@@ -17,12 +17,11 @@ namespace augem::tuning {
 
 using frontend::KernelKind;
 using opt::OptConfig;
-using opt::VecStrategy;
 using transform::CGenParams;
 
 std::string Trial::describe() const {
   std::ostringstream os;
-  os << params.to_string() << " strategy=" << opt::vec_strategy_name(strategy);
+  os << params.to_string();
   if (feasible) {
     os << " -> " << static_cast<long>(mflops) << " MFLOPS"
        << " ±" << static_cast<long>(ci_half);
@@ -46,12 +45,11 @@ std::string Trial::describe() const {
 std::string TuneResult::report() const {
   std::ostringstream os;
   os << "tuning " << frontend::kernel_kind_name(kind) << " on "
-     << isa_name(config.isa) << ":\n";
+     << isa_name(isa) << ":\n";
   for (const Trial& t : trials) os << "  " << t.describe() << "\n";
   os << "search: " << search.algorithm << " trials=" << search.trials_run
      << "/" << search.budget_trials << " grid=" << search.grid_size << "\n";
-  os << "best: " << params.to_string() << " strategy="
-     << opt::vec_strategy_name(config.strategy) << " ("
+  os << "best: " << params.to_string() << " ("
      << static_cast<long>(mflops) << " MFLOPS)\n";
   return os.str();
 }
@@ -103,7 +101,7 @@ class SearchRun {
             const TuneWorkload& w, const SearchOptions& opts)
       : kind_(kind), space_(space), w_(w), opts_(opts) {
     result_.kind = kind;
-    result_.config.isa = isa;
+    result_.isa = isa;
     const int grid = space.grid_size();
     SearchMeta& m = result_.search;
     m.algorithm = opts.exhaustive ? "exhaustive" : "hillclimb";
@@ -124,10 +122,10 @@ class SearchRun {
 
   /// Measures the unmeasured cell `p`, returning its trial's index.
   std::size_t measure(const Point& p) {
-    Trial t;  // strategy stays Vdup, the only one the served layout admits
+    Trial t;
     t.params = space_.materialize(p);
-    OptConfig config = result_.config;
-    config.strategy = t.strategy;
+    OptConfig config;
+    config.isa = result_.isa;
     try {
       if (opts_.synthetic) {
         check_feasible(kind_, t.params, config);
@@ -153,7 +151,6 @@ class SearchRun {
         (best_ < 0 || logged.mflops > result_.trials[best_].mflops)) {
       best_ = static_cast<int>(idx);
       result_.params = logged.params;
-      result_.config.strategy = logged.strategy;
     }
     return idx;
   }

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "frontend/kernels.hpp"
-#include "opt/plan.hpp"
 #include "perf/bench_runner.hpp"
 #include "transform/ckernel.hpp"
 #include "tuning/probe.hpp"
@@ -28,7 +27,6 @@ namespace augem::tuning {
 /// One evaluated search point.
 struct Trial {
   transform::CGenParams params;
-  opt::VecStrategy strategy = opt::VecStrategy::kVdup;
   double mflops = 0.0;   ///< median MFLOPS over the timing reps; 0 infeasible
   double ci_half = 0.0;  ///< 95% CI half-width on the median (stats.hpp)
   bool feasible = false;
@@ -40,8 +38,8 @@ struct Trial {
 /// the metadata describing how the search ran (algorithm, budget, grid).
 struct TuneResult {
   frontend::KernelKind kind{};
+  Isa isa{};
   transform::CGenParams params;
-  opt::OptConfig config;
   double mflops = 0.0;
   std::vector<Trial> trials;
   SearchMeta search;
@@ -64,6 +62,11 @@ struct TuneWorkload {
   ProbeExtents extents(frontend::KernelKind kind) const;
 };
 
+/// The reduced workload quick tools and tests tune on: one 32×32×64 packed
+/// block, vectors of 2048, one rep per trial.
+inline constexpr TuneWorkload kQuickTuneWorkload{
+    .mc = 32, .nc = 32, .kc = 64, .vec_len = 2048, .reps = 1};
+
 /// The runner options a trial is timed with (docs/tuning.md, "Measuring a
 /// trial"): `w.reps` back-to-back calls with no warm-up run and no
 /// frequency probe, then AUGEM_BENCH_REPS on top
@@ -72,7 +75,8 @@ perf::RunnerOptions trial_runner(const TuneWorkload& w);
 
 /// Tunes the GEMM register tile, unrolls and prefetch distance for `isa`
 /// with the climb (or the full sweep when `opts.exhaustive` is set). Every
-/// candidate uses the Vdup strategy over column-major B.
+/// candidate is generated with the default opt::OptConfig (Vdup) over
+/// column-major B, as the runtime serves it.
 TuneResult tune_gemm(Isa isa, const TuneWorkload& workload = {},
                      const SearchOptions& opts = SearchOptions::from_env());
 

@@ -109,7 +109,7 @@ TEST(Semantics, ProvesGeneratedKernels) {
   for (KernelKind op : {KernelKind::kGemm, KernelKind::kGemv,
                         KernelKind::kAxpy, KernelKind::kDot,
                         KernelKind::kScal}) {
-    const GenCase gc = generate(op, opt::VecStrategy::kAuto);
+    const GenCase gc = generate(op, opt::VecStrategy::kVdup);
     const AnalysisReport r = analyze_semantics(gc);
     EXPECT_EQ(r.errors(), 0u) << frontend::kernel_kind_name(op) << ":\n"
                               << r.to_string(gc.g.insts);
@@ -133,7 +133,7 @@ TEST(Semantics, ProvesSmallGemmWithFusedEpilogue) {
 // store's RAW dependence. The store now writes the freshly loaded y value,
 // so one y element silently loses its accumulation.
 TEST(SemanticsDefect, StoreReorderedAcrossDependentLoad) {
-  GenCase gc = generate(KernelKind::kGemv, opt::VecStrategy::kAuto);
+  GenCase gc = generate(KernelKind::kGemv, opt::VecStrategy::kVdup);
   MInstList& l = gc.g.insts;
   const std::size_t store = find_op(l, MOp::kVStore);
   ASSERT_LT(store, l.size());
@@ -153,7 +153,7 @@ TEST(SemanticsDefect, StoreReorderedAcrossDependentLoad) {
 // inductively (every earlier pass is happy), but one C element sums the
 // wrong products.
 TEST(SemanticsDefect, DroppedFmaInKLoop) {
-  GenCase gc = generate(KernelKind::kGemm, opt::VecStrategy::kAuto);
+  GenCase gc = generate(KernelKind::kGemm, opt::VecStrategy::kVdup);
   MInstList& l = gc.g.insts;
   const std::size_t fma = find_op(l, MOp::kVFma231);
   ASSERT_LT(fma, l.size());
@@ -207,7 +207,7 @@ TEST(ScheduleValidation, AcceptsRealSchedules) {
   // also drive the comparator directly on an identity permutation.
   opt::OptConfig oc;
   oc.isa = Isa::kFma3;
-  oc.strategy = opt::VecStrategy::kAuto;
+  oc.strategy = opt::VecStrategy::kVdup;
   ir::Kernel k = transform::generate_optimized_c(
       KernelKind::kGemm, BLayout::kRowPanel, transform::CGenParams{});
   const asmgen::GeneratedKernel g =
@@ -216,7 +216,7 @@ TEST(ScheduleValidation, AcceptsRealSchedules) {
 }
 
 TEST(ScheduleValidation, RejectsDroppedInstruction) {
-  const GenCase gc = generate(KernelKind::kGemm, opt::VecStrategy::kAuto);
+  const GenCase gc = generate(KernelKind::kGemm, opt::VecStrategy::kVdup);
   MInstList broken = gc.g.insts;
   broken.erase(broken.begin() +
                static_cast<std::ptrdiff_t>(find_op(broken, MOp::kVFma231)));
@@ -224,7 +224,7 @@ TEST(ScheduleValidation, RejectsDroppedInstruction) {
 }
 
 TEST(ScheduleValidation, RejectsStoreHoistedAboveItsProducer) {
-  const GenCase gc = generate(KernelKind::kGemv, opt::VecStrategy::kAuto);
+  const GenCase gc = generate(KernelKind::kGemv, opt::VecStrategy::kVdup);
   MInstList broken = gc.g.insts;
   const std::size_t store = find_op(broken, MOp::kVStore);
   ASSERT_GT(store, 0u);

@@ -19,7 +19,7 @@ using opt::RegAllocPolicy;
 using opt::VecStrategy;
 using transform::CGenParams;
 
-OptConfig cfg(Isa isa, VecStrategy s = VecStrategy::kAuto) {
+OptConfig cfg(Isa isa, VecStrategy s = VecStrategy::kVdup) {
   OptConfig c;
   c.isa = isa;
   c.strategy = s;

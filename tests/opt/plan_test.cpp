@@ -24,7 +24,7 @@ Prepared prepare(KernelKind kind, transform::CGenParams p,
   return {std::move(k), std::move(m)};
 }
 
-OptConfig cfg(Isa isa, VecStrategy s = VecStrategy::kAuto) {
+OptConfig cfg(Isa isa, VecStrategy s = VecStrategy::kVdup) {
   OptConfig c;
   c.isa = isa;
   c.strategy = s;
@@ -169,10 +169,14 @@ TEST(Plan, KuRegionsShareGroups) {
 }
 
 TEST(Plan, StrategyNames) {
-  EXPECT_STREQ(vec_strategy_name(VecStrategy::kAuto), "auto");
   EXPECT_STREQ(vec_strategy_name(VecStrategy::kVdup), "vdup");
   EXPECT_STREQ(vec_strategy_name(VecStrategy::kShuf), "shuf");
   EXPECT_STREQ(vec_strategy_name(VecStrategy::kScalar), "scalar");
+  for (VecStrategy s :
+       {VecStrategy::kVdup, VecStrategy::kShuf, VecStrategy::kScalar})
+    EXPECT_EQ(parse_vec_strategy(vec_strategy_name(s)), s);
+  EXPECT_FALSE(parse_vec_strategy("auto").has_value());
+  EXPECT_EQ(OptConfig{}.strategy, VecStrategy::kVdup);
 }
 
 }  // namespace

@@ -38,13 +38,7 @@ class RuntimeOverheadTest : public ::testing::Test {
     runtime::RuntimeConfig cfg;
     cfg.cache_dir = dir_;
     cfg.use_persistent = true;
-    tuning::TuneWorkload w;  // tiny tuning workload: CI-speed cold start
-    w.mc = 32;
-    w.nc = 32;
-    w.kc = 64;
-    w.vec_len = 2048;
-    w.reps = 1;
-    cfg.workload_override = w;
+    cfg.workload_override = tuning::kQuickTuneWorkload;
     return cfg;
   }
 

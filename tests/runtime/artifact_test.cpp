@@ -38,21 +38,11 @@ class SharedCacheTest : public ::testing::Test {
     fs::remove_all(dir_, ec);
   }
 
-  static tuning::TuneWorkload quick_workload() {
-    tuning::TuneWorkload w;
-    w.mc = 32;
-    w.nc = 32;
-    w.kc = 64;
-    w.vec_len = 2048;
-    w.reps = 1;
-    return w;
-  }
-
   RuntimeConfig config() const {
     RuntimeConfig cfg;
     cfg.cache_dir = dir_;
     cfg.use_persistent = true;
-    cfg.workload_override = quick_workload();
+    cfg.workload_override = tuning::kQuickTuneWorkload;
     return cfg;
   }
 
@@ -83,6 +73,24 @@ class SharedCacheTest : public ::testing::Test {
     return y;
   }
 
+  /// One ragged DGEMM through `rt` against blas::ref.
+  static void expect_gemm_matches_reference(KernelRuntime& rt) {
+    const blas::index_t m = kM, n = kN, k = kK;
+    auto rblas = make_runtime_blas(rt);
+    Rng rng(4);
+    std::vector<double> a(m * k), b(k * n), c(m * n);
+    for (double& v : a) v = rng.uniform(-1.0, 1.0);
+    for (double& v : b) v = rng.uniform(-1.0, 1.0);
+    for (double& v : c) v = rng.uniform(-1.0, 1.0);
+    std::vector<double> c_ref = c;
+    rblas->gemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.5, a.data(), m,
+                b.data(), k, -0.5, c.data(), m);
+    blas::ref::gemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.5,
+                    a.data(), m, b.data(), k, -0.5, c_ref.data(), m);
+    for (std::size_t i = 0; i < c.size(); ++i)
+      ASSERT_NEAR(c[i], c_ref[i], 1e-11 * k) << i;
+  }
+
   /// A bad input to the warm path: after `corrupt` runs on a published
   /// AXPY artifact, the next runtime rebuilds from the record (no tuner,
   /// no artifact mapped) with the same numerics, and the runtime after it
@@ -109,6 +117,8 @@ class SharedCacheTest : public ::testing::Test {
   }
 
   static constexpr ShapeClass kShape = ShapeClass::kLarge;
+  /// The DGEMM of expect_gemm_matches_reference.
+  static constexpr blas::index_t kM = 96, kN = 88, kK = 72;
   std::string dir_;
 };
 
@@ -203,9 +213,8 @@ TEST_F(SharedCacheTest, SchemaOneGemmRecordIsRebuiltNotLoaded) {
   // record and its artifact, a row-panel kernel whose bytes still pass the
   // hash check. Served to today's driver it would compute wrong results,
   // so the runtime must build instead of replaying it.
-  const blas::index_t m = 96, n = 88, k = 72;
   const KernelKey key =
-      host_kernel_key(KernelKind::kGemm, classify_gemm_shape(m, n, k));
+      host_kernel_key(KernelKind::kGemm, classify_gemm_shape(kM, kN, kK));
   GenerateOptions row_panel = default_options(KernelKind::kGemm, key.isa);
   row_panel.layout = frontend::BLayout::kRowPanel;
   const asmgen::GeneratedKernel gen =
@@ -241,21 +250,73 @@ TEST_F(SharedCacheTest, SchemaOneGemmRecordIsRebuiltNotLoaded) {
   write(dir_ + "/tunedb-v1.jsonl", record);
 
   KernelRuntime rt(cfg);
-  auto rblas = make_runtime_blas(rt);
-  Rng rng(4);
-  std::vector<double> a(m * k), b(k * n), c(m * n);
-  for (double& v : a) v = rng.uniform(-1.0, 1.0);
-  for (double& v : b) v = rng.uniform(-1.0, 1.0);
-  for (double& v : c) v = rng.uniform(-1.0, 1.0);
-  std::vector<double> c_ref = c;
-  rblas->gemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.5, a.data(), m,
-              b.data(), k, -0.5, c.data(), m);
-  blas::ref::gemm(blas::Trans::kNo, blas::Trans::kNo, m, n, k, 1.5, a.data(),
-                  m, b.data(), k, -0.5, c_ref.data(), m);
+  expect_gemm_matches_reference(rt);
   EXPECT_EQ(rt.counters().builds, 1u);
   EXPECT_EQ(rt.counters().artifact_loads, 0u);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    ASSERT_NEAR(c[i], c_ref[i], 1e-11 * k) << i;
+}
+
+TEST_F(SharedCacheTest, RecordTheGeneratorRejectsResolvesAsMiss) {
+  // Stored GEMM variants the generator refuses, without an artifact: a 3×7
+  // tile the register allocator cannot fit, and Shuf, which the planner
+  // rejects over the served column-major B. Each resolves as a miss (the
+  // default, with tune_on_miss off), and the new record replaces it.
+  const KernelKey key =
+      host_kernel_key(KernelKind::kGemm, classify_gemm_shape(kM, kN, kK));
+  TunedVariant odd_tile;
+  odd_tile.params.mr = 3;
+  odd_tile.params.nr = 7;
+  TunedVariant shuf;
+  shuf.params.mr = 8;
+  shuf.params.nr = 4;
+  shuf.strategy = opt::VecStrategy::kShuf;
+  RuntimeConfig cfg = config();
+  cfg.tune_on_miss = false;
+  for (const TunedVariant& bad : {odd_tile, shuf}) {
+    SCOPED_TRACE(bad.params.to_string());
+    ASSERT_THROW(build_variant(key, bad), Error);
+    TuningDatabase(dir_).store(key, bad);
+
+    KernelRuntime rt(cfg);
+    expect_gemm_matches_reference(rt);
+    EXPECT_EQ(rt.counters().builds, 1u);
+    EXPECT_EQ(rt.counters().db_misses, 1u);
+
+    TunedVariant now;
+    ASSERT_TRUE(TuningDatabase(dir_).lookup(key, now));
+    EXPECT_EQ(now.params.mr, default_options(key.kind, key.isa).params.mr);
+    EXPECT_EQ(now.strategy, opt::VecStrategy::kVdup);
+    EXPECT_TRUE(now.artifact.has_value());
+    EXPECT_NO_THROW(build_variant(key, now));
+  }
+}
+
+TEST_F(SharedCacheTest, LegacyAutoStrategyRecordMapsItsArtifact) {
+  // An untuned Level-1 record as written while an "auto" strategy existed:
+  // the same record and artifact, strategy "auto". It decodes as Vdup, and
+  // the next runtime maps its artifact instead of building.
+  RuntimeConfig cfg = config();
+  cfg.tune_on_miss = false;
+  std::vector<double> cold_out;
+  {
+    KernelRuntime cold(cfg);
+    cold_out = run_axpy(cold);
+  }
+  TuningDatabase db(dir_);
+  std::string record = read(db.file_path());
+  const std::string tag = "\"strategy\":\"vdup\"";
+  const std::size_t pos = record.find(tag);
+  ASSERT_NE(pos, std::string::npos);
+  record.replace(pos, tag.size(), "\"strategy\":\"auto\"");
+  write(db.file_path(), record);
+
+  db.reload();
+  EXPECT_EQ(db.skipped_records(), 0u);
+  KernelRuntime warm(cfg);
+  EXPECT_EQ(run_axpy(warm), cold_out);
+  EXPECT_EQ(warm.counters().artifact_loads, 1u);
+  EXPECT_EQ(warm.counters().builds, 0u);
+  EXPECT_EQ(warm.resolve(KernelKind::kAxpy, kShape)->variant.strategy,
+            opt::VecStrategy::kVdup);
 }
 
 // The promotion gate, end to end: a strictly better candidate replaces the
@@ -293,7 +354,7 @@ TEST_F(SharedCacheTest, PromotionReplacesServedEntryOnlyWhenDiffSaysImproved) {
   fast.params.prefetch.enabled = false;
   fast.strategy = opt::VecStrategy::kVdup;
 
-  ASSERT_EQ(retune(db, key, quick_workload(), runner, fast),
+  ASSERT_EQ(retune(db, key, tuning::kQuickTuneWorkload, runner, fast),
             RetuneOutcome::kPromoted);
   TunedVariant now;
   ASSERT_TRUE(db.lookup(key, now));
@@ -311,11 +372,11 @@ TEST_F(SharedCacheTest, PromotionReplacesServedEntryOnlyWhenDiffSaysImproved) {
   EXPECT_EQ(later.counters().builds, 0u);
 
   // Re-offering the stored configuration gates nothing.
-  EXPECT_EQ(retune(db, key, quick_workload(), runner, fast),
+  EXPECT_EQ(retune(db, key, tuning::kQuickTuneWorkload, runner, fast),
             RetuneOutcome::kUnchanged);
 
   // A worse candidate is measured, loses the diff, and changes nothing.
-  EXPECT_EQ(retune(db, key, quick_workload(), runner, slow),
+  EXPECT_EQ(retune(db, key, tuning::kQuickTuneWorkload, runner, slow),
             RetuneOutcome::kRejected);
   TunedVariant still;
   ASSERT_TRUE(db.lookup(key, still));
@@ -324,9 +385,9 @@ TEST_F(SharedCacheTest, PromotionReplacesServedEntryOnlyWhenDiffSaysImproved) {
 
   // No incumbent in the database: nothing to promote against.
   const KernelKey other = host_kernel_key(KernelKind::kDot, kShape);
-  EXPECT_EQ(retune(db, other, quick_workload(), runner, fast),
+  EXPECT_EQ(retune(db, other, tuning::kQuickTuneWorkload, runner, fast),
             RetuneOutcome::kError);
-  EXPECT_EQ(retune(db, other, quick_workload(), runner),
+  EXPECT_EQ(retune(db, other, tuning::kQuickTuneWorkload, runner),
             RetuneOutcome::kError);
 }
 

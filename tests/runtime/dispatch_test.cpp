@@ -35,13 +35,7 @@ class DispatchTest : public ::testing::Test {
     RuntimeConfig cfg;
     cfg.cache_dir = dir_;
     cfg.use_persistent = true;
-    tuning::TuneWorkload w;
-    w.mc = 32;
-    w.nc = 32;
-    w.kc = 64;
-    w.vec_len = 2048;
-    w.reps = 1;
-    cfg.workload_override = w;
+    cfg.workload_override = tuning::kQuickTuneWorkload;
     return cfg;
   }
 

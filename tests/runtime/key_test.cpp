@@ -42,12 +42,15 @@ TEST(KeyParse, EnumNamesRoundTrip) {
     EXPECT_EQ(parse_shape_class(shape_class_name(s)), s);
   for (KernelKind k : {KernelKind::kGemm, KernelKind::kGemv, KernelKind::kAxpy,
                        KernelKind::kDot, KernelKind::kScal})
-    EXPECT_EQ(parse_kernel_kind(frontend::kernel_kind_name(k)), k);
+    EXPECT_EQ(frontend::parse_kernel_kind(frontend::kernel_kind_name(k)), k);
   for (Isa isa : {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4})
     EXPECT_EQ(parse_isa(isa_name(isa)), isa);
   EXPECT_FALSE(parse_shape_class("tall").has_value());
-  EXPECT_FALSE(parse_kernel_kind("trsm").has_value());
+  EXPECT_FALSE(frontend::parse_kernel_kind("trsm").has_value());
   EXPECT_FALSE(parse_isa("AVX512").has_value());
+  // Command-line spellings: either case reads.
+  EXPECT_EQ(parse_isa("fma3"), Isa::kFma3);
+  EXPECT_EQ(frontend::parse_kernel_kind("GEMV"), KernelKind::kGemv);
 }
 
 TEST(KeyFormat, ToStringIsCanonical) {

@@ -98,7 +98,6 @@ TEST_F(TuneDbTest, SearchMetaAndTrialLogRoundTripWithBothInfeasibleReasons) {
 
   tuning::Trial ok;
   ok.params = v.params;
-  ok.strategy = v.strategy;
   ok.mflops = 2500.0;
   ok.ci_half = 12.0;
   ok.feasible = true;
@@ -118,8 +117,12 @@ TEST_F(TuneDbTest, SearchMetaAndTrialLogRoundTripWithBothInfeasibleReasons) {
   v.trial_log = {ok, planner, regalloc};
 
   const Json rec = encode_db_record(test_key(), v);
+  // The tuner generates every trial with the served strategy, so trials
+  // carry none; the variant does.
+  EXPECT_FALSE(rec.get("search")->get("trials")->items()[0].has("strategy"));
   const std::optional<DbEntry> got = decode_db_record(rec);
   ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->variant.strategy, opt::VecStrategy::kShuf);
   ASSERT_TRUE(got->variant.search.has_value());
   const tuning::SearchMeta& m = *got->variant.search;
   EXPECT_EQ(m.algorithm, "hillclimb");

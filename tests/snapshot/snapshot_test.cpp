@@ -188,9 +188,9 @@ std::vector<SnapshotCase> snapshot_grid() {
                           KernelKind::kDot, KernelKind::kScal})
     for (Isa isa : {Isa::kSse2, Isa::kFma3}) {
       std::string stem = std::string(frontend::kernel_kind_name(kind)) + "_" +
-                         isa_name(isa) + "_auto";
+                         isa_name(isa) + "_vdup";
       for (char& ch : stem) ch = static_cast<char>(std::tolower(ch));
-      cases.push_back({kind, isa, VecStrategy::kAuto, stem});
+      cases.push_back({kind, isa, VecStrategy::kVdup, stem});
     }
   // Batched small-GEMM kernels: the register-tile (mr,nr) follows from the
   // extents, so the shape axis doubles as the (mr,nr,k) axis — 16x16x16

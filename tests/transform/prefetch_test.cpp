@@ -86,17 +86,6 @@ TEST(Prefetch, StreamPrefetchUsesDistance) {
   EXPECT_TRUE(found);
 }
 
-TEST(Prefetch, StorePrefetchCanBeDisabledSeparately) {
-  Kernel k = tiled_gemm();
-  PrefetchConfig cfg;
-  cfg.prefetch_stores = false;
-  insert_prefetch(k, cfg);
-  for_each_stmt(k.body(), [&](const Stmt& s) {
-    if (const auto* p = as<Prefetch>(s))
-      EXPECT_NE(p->base().rfind("ptr_C", 0), 0u) << "unexpected C prefetch";
-  });
-}
-
 TEST(Prefetch, SemanticsUnchanged) {
   Kernel k = tiled_gemm();
   insert_prefetch(k, {});

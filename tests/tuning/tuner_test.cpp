@@ -114,7 +114,6 @@ TEST(Search, SameSeedReproducesIdenticalTrialSequence) {
               b.trials[i].params.prefetch.enabled) << i;
     EXPECT_EQ(a.trials[i].params.prefetch.distance,
               b.trials[i].params.prefetch.distance) << i;
-    EXPECT_EQ(a.trials[i].strategy, b.trials[i].strategy) << i;
     EXPECT_EQ(a.trials[i].mflops, b.trials[i].mflops) << i;
     EXPECT_EQ(a.trials[i].reason, b.trials[i].reason) << i;
   }

@@ -140,7 +140,7 @@ int cmd_list(TuningDatabase& db, bool json) {
 
 int cmd_show(TuningDatabase& db, bool json, const std::string& kind_name,
              const std::string& shape_name) {
-  const auto kind = augem::runtime::parse_kernel_kind(kind_name);
+  const auto kind = frontend::parse_kernel_kind(kind_name);
   const auto shape = augem::runtime::parse_shape_class(shape_name);
   if (!kind || !shape) return usage();
   const KernelKey key = augem::runtime::host_kernel_key(*kind, *shape);
@@ -170,22 +170,11 @@ int cmd_show(TuningDatabase& db, bool json, const std::string& kind_name,
   return 0;
 }
 
-/// The reduced timing workload of --quick.
-augem::tuning::TuneWorkload quick_workload() {
-  augem::tuning::TuneWorkload w;
-  w.mc = 32;
-  w.nc = 32;
-  w.kc = 64;
-  w.vec_len = 2048;
-  w.reps = 1;
-  return w;
-}
-
 int cmd_prewarm(const std::string& dir, bool json, bool quick) {
   RuntimeConfig cfg;
   cfg.cache_dir = dir;
   cfg.use_persistent = true;
-  if (quick) cfg.workload_override = quick_workload();
+  if (quick) cfg.workload_override = augem::tuning::kQuickTuneWorkload;
   KernelRuntime rt(cfg);
 
   // GEMM distinguishes all three shape regimes; the Level-1/2 kernels are
@@ -239,7 +228,7 @@ int cmd_retune(TuningDatabase& db, bool json, bool quick,
                const std::vector<std::string>& args) {
   std::vector<KernelKey> keys;
   if (args.size() == 3) {
-    const auto kind = augem::runtime::parse_kernel_kind(args[1]);
+    const auto kind = frontend::parse_kernel_kind(args[1]);
     const auto shape = augem::runtime::parse_shape_class(args[2]);
     if (!kind || !shape) return usage();
     keys.push_back(augem::runtime::host_kernel_key(*kind, *shape));
@@ -267,7 +256,7 @@ int cmd_retune(TuningDatabase& db, bool json, bool quick,
   for (const KernelKey& key : keys) {
     const auto outcome = augem::runtime::retune(
         db, key,
-        quick ? quick_workload()
+        quick ? augem::tuning::kQuickTuneWorkload
               : augem::runtime::tune_workload_for(key.kind, key.shape),
         runner);
     failed |= outcome == augem::runtime::RetuneOutcome::kError;

@@ -6,7 +6,8 @@
 //     --stage simple|optc|tagged|asm     artifact to print (default asm)
 //     --mr N --nr N --ku N               GEMM register tile / inner unroll
 //     --unroll N                         Level-1/2 unroll factor
-//     --strategy vdup|shuf|scalar|auto   vectorization strategy
+//     --strategy vdup|shuf|scalar        vectorization strategy (default
+//                                        vdup, the served one)
 //     --layout rowpanel|colmajor         packed-B layout (GEMM; default
 //                                        colmajor, the driver's, or
 //                                        rowpanel under --strategy shuf)
@@ -31,7 +32,6 @@
 #include <string>
 
 #include "augem/augem.hpp"
-#include "cli.hpp"
 #include "match/identifier.hpp"
 #include "tuning/probe.hpp"
 
@@ -47,7 +47,7 @@ usage: augemc [--kernel K] [--isa I] [--stage S] [tile options] [-o FILE]
   --isa sse2|avx|fma3|fma4            (default: best host ISA)
   --stage simple|optc|tagged|asm      (default asm)
   --mr N --nr N --ku N --unroll N
-  --strategy vdup|shuf|scalar|auto
+  --strategy vdup|shuf|scalar         (default vdup)
   --layout rowpanel|colmajor          (default colmajor; rowpanel for shuf)
   --no-prefetch | --prefetch DIST
   --no-schedule
@@ -94,11 +94,11 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--kernel") {
-      const auto k = cli::parse_kernel(need_value(i));
+      const auto k = frontend::parse_kernel_kind(need_value(i));
       if (!k) usage(1);
       kind = *k;
     } else if (arg == "--isa") {
-      const auto parsed = cli::parse_isa(need_value(i));
+      const auto parsed = parse_isa(need_value(i));
       if (!parsed) usage(1);
       isa = *parsed;
     } else if (arg == "--help" || arg == "-h") {
@@ -122,12 +122,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--unroll") {
       options.params.unroll = std::atoi(need_value(i).c_str());
     } else if (arg == "--strategy") {
-      const std::string s = need_value(i);
-      if (s == "vdup") options.config.strategy = opt::VecStrategy::kVdup;
-      else if (s == "shuf") options.config.strategy = opt::VecStrategy::kShuf;
-      else if (s == "scalar") options.config.strategy = opt::VecStrategy::kScalar;
-      else if (s == "auto") options.config.strategy = opt::VecStrategy::kAuto;
-      else usage(1);
+      const auto s = opt::parse_vec_strategy(need_value(i));
+      if (!s) usage(1);
+      options.config.strategy = *s;
     } else if (arg == "--layout") {
       const std::string s = need_value(i);
       if (s == "rowpanel") options.layout = frontend::BLayout::kRowPanel;

@@ -11,7 +11,8 @@
 //     --isa sse2|avx|fma3|fma4           target ISA (default fma3)
 //     --layout rowpanel|colmajor         packed-B layout (GEMM; default
 //                                        colmajor, the driver's)
-//     --strategy vdup|shuf|scalar|auto   vectorization strategy
+//     --strategy vdup|shuf|scalar        vectorization strategy (default
+//                                        vdup, the served one)
 //     --mr N --nr N --ku N --unroll N    tile / unroll parameters (default:
 //                                        the served ones, default_options)
 //     --small MxNxK                      analyze the shape-specialized
@@ -52,6 +53,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <set>
@@ -62,10 +64,10 @@
 #include "analysis/analyzer.hpp"
 #include "asmgen/codegen.hpp"
 #include "augem/augem.hpp"
-#include "cli.hpp"
 #include "frontend/kernels.hpp"
 #include "opt/plan.hpp"
 #include "support/error.hpp"
+#include "support/json.hpp"
 #include "transform/ckernel.hpp"
 #include "tuning/search.hpp"
 
@@ -81,7 +83,7 @@ usage: mirlint [--kernel K] [--isa I] [config options] [--text] [--sweep]
   --kernel gemm|gemv|axpy|dot|scal    (default gemm)
   --isa sse2|avx|fma3|fma4            (default fma3)
   --layout rowpanel|colmajor          (default colmajor)
-  --strategy vdup|shuf|scalar|auto
+  --strategy vdup|shuf|scalar         (default vdup)
   --mr N --nr N --ku N --unroll N     (default: the served configuration)
   --small MxNxK   analyze the batched small-GEMM kernel for these extents
   --epi LIST      fused epilogue for --small: comma-separated scale,bias,relu
@@ -201,87 +203,68 @@ bool is_semantics_kind(const std::string& kind) {
 }
 
 void write_artifact(const SweepStats& s, const std::string& path) {
-  std::ostringstream os;
-  auto section = [&](const char* name, int errors,
-                     const std::vector<std::string>& failed) {
-    os << "\"" << name << "\":{\"errors\":" << errors
-       << ",\"failed_configs\":[";
-    for (std::size_t i = 0; i < failed.size(); ++i) {
-      if (i) os << ",";
-      os << "\"" << analysis::json_escape(failed[i]) << "\"";
-    }
-    os << "]}";
+  auto section = [](int errors, const std::vector<std::string>& failed) {
+    Json sec = Json::object();
+    sec["errors"] = Json(errors);
+    Json configs = Json::array();
+    for (const std::string& f : failed) configs.push_back(Json(f));
+    sec["failed_configs"] = std::move(configs);
+    return sec;
   };
-  os << "{\"analyzed\":" << s.analyzed << ",\"rejected\":" << s.rejected
-     << ",\"warnings\":" << s.warnings << ",\"sections\":{";
-  section("bounds", s.errors_bounds, s.failed_bounds);
-  os << ",";
-  section("semantics", s.errors_semantics, s.failed_semantics);
-  os << ",";
-  section("search_sample", s.errors_search, s.failed_search);
-  os << "},\"sampled\":" << s.sampled << ",\"by_kind\":{";
-  bool first = true;
-  for (const auto& [kind, n] : s.by_kind) {
-    if (!first) os << ",";
-    first = false;
-    os << "\"" << analysis::json_escape(kind) << "\":" << n;
-  }
-  os << "}}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
+  Json sections = Json::object();
+  sections["bounds"] = section(s.errors_bounds, s.failed_bounds);
+  sections["semantics"] = section(s.errors_semantics, s.failed_semantics);
+  sections["search_sample"] = section(s.errors_search, s.failed_search);
+  Json by_kind = Json::object();
+  for (const auto& [kind, n] : s.by_kind) by_kind[kind] = Json(n);
+  Json artifact = Json::object();
+  artifact["analyzed"] = Json(s.analyzed);
+  artifact["rejected"] = Json(s.rejected);
+  artifact["warnings"] = Json(s.warnings);
+  artifact["sampled"] = Json(s.sampled);
+  artifact["sections"] = std::move(sections);
+  artifact["by_kind"] = std::move(by_kind);
+  std::ofstream out(path);
+  out << artifact.dump() << "\n";
+  if (!out.good()) {
     std::fprintf(stderr, "mirlint: cannot write artifact %s\n", path.c_str());
     std::exit(1);
   }
-  std::fputs(os.str().c_str(), f);
-  std::fclose(f);
 }
 
-/// Gate on one section of a previously written sweep artifact. Kept to a
-/// deliberately small parser: the artifact is produced by write_artifact
-/// above, so its shape is fully known.
+/// Gate on one section of a previously written sweep artifact.
 int check_artifact(const std::string& path, const std::string& section) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::optional<Json> doc = parse_json(text.str());
+  if (!doc) {
     std::fprintf(stderr, "mirlint: cannot read artifact %s\n", path.c_str());
     return 1;
   }
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  std::fclose(f);
-
-  int analyzed = -1;
-  if (std::sscanf(text.c_str(), "{\"analyzed\":%d", &analyzed) != 1 ||
-      analyzed <= 0) {
+  const int analyzed = static_cast<int>(doc->number("analyzed").value_or(0));
+  if (analyzed <= 0) {
     std::fprintf(stderr, "mirlint: artifact %s has no analyzed configs\n",
                  path.c_str());
     return 1;
   }
-  const std::string key = "\"" + section + "\":{\"errors\":";
-  const char* at = std::strstr(text.c_str(), key.c_str());
-  int errors = -1;
-  if (at == nullptr ||
-      std::sscanf(at + key.size(), "%d", &errors) != 1 || errors < 0) {
+  const Json* sections = doc->get("sections");
+  const Json* sec = sections != nullptr ? sections->get(section) : nullptr;
+  const std::optional<double> errors =
+      sec != nullptr ? sec->number("errors") : std::nullopt;
+  if (!errors || *errors < 0) {
     std::fprintf(stderr, "mirlint: artifact %s has no '%s' section\n",
                  path.c_str(), section.c_str());
     return 1;
   }
   std::printf("mirlint %s gate: %d configs analyzed, %d error finding(s)\n",
-              section.c_str(), analyzed, errors);
-  if (errors > 0) {
-    // Surface the failing configs for the log.
-    const std::string fkey = "\"failed_configs\":[";
-    const char* fat = std::strstr(at, fkey.c_str());
-    if (fat != nullptr) {
-      const char* end = std::strchr(fat, ']');
-      if (end != nullptr)
-        std::printf("  failing: %.*s\n",
-                    static_cast<int>(end - fat - fkey.size()),
-                    fat + fkey.size());
-    }
-  }
-  return errors > 0 ? 1 : 0;
+              section.c_str(), analyzed, static_cast<int>(*errors));
+  if (*errors == 0) return 0;
+  // Surface the failing configs for the log.
+  if (const Json* failed = sec->get("failed_configs"))
+    for (const Json& f : failed->items())
+      std::printf("  failing: %s\n", f.as_string().c_str());
+  return 1;
 }
 
 int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
@@ -378,15 +361,19 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
   };
 
   const Isa isas[] = {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4};
-  const opt::VecStrategy strategies[] = {
-      opt::VecStrategy::kVdup, opt::VecStrategy::kShuf,
-      opt::VecStrategy::kScalar, opt::VecStrategy::kAuto};
 
+  // Every strategy where it generates a kernel of its own: Shuf only for
+  // GEMM over row-panel B. The planner rejects it over column-major B, and
+  // on the Level-1/2 kernels it emits Vdup's instructions.
   for (Isa isa : isas) {
     const int w = isa_vector_doubles(isa);
-    for (opt::VecStrategy strat : strategies) {
+    for (opt::VecStrategy strat :
+         {opt::VecStrategy::kVdup, opt::VecStrategy::kShuf,
+          opt::VecStrategy::kScalar}) {
+      const bool shuf = strat == opt::VecStrategy::kShuf;
       // GEMM: both layouts, a grid of register tiles and inner unrolls.
       for (BLayout layout : {BLayout::kRowPanel, BLayout::kColMajor}) {
+        if (shuf && layout == BLayout::kColMajor) continue;
         for (const auto& [mr, nr] : {std::pair{w, w},       {2 * w, w},
                                      std::pair{2 * w, 2 * w}, {4 * w, w},
                                      std::pair{w, 2 * w}}) {
@@ -406,6 +393,7 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
           }
         }
       }
+      if (shuf) continue;
       // Level-1/2 kernels: unroll grid.
       for (KernelKind op : {KernelKind::kGemv, KernelKind::kAxpy,
                             KernelKind::kDot, KernelKind::kScal}) {
@@ -453,7 +441,6 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
           c.op = KernelKind::kGemm;
           c.small = spec;
           c.config.isa = isa;
-          c.config.strategy = opt::VecStrategy::kVdup;
           c.params = small_gemm_params(spec, isa);
           visit(c);
         }
@@ -480,7 +467,6 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
           // The layout and strategy the tuner generates every point with.
           c.layout = BLayout::kColMajor;
           c.config.isa = isa;
-          c.config.strategy = opt::VecStrategy::kVdup;
           cells.push_back(c);
         }
       }
@@ -541,8 +527,7 @@ int main(int argc, char** argv) {
   std::string artifact_path;
   std::string check_path;
   std::string section;
-  bool tile_set = false;      // explicit --mr/--nr override the small default
-  bool strategy_set = false;  // explicit --strategy overrides the small default
+  bool tile_set = false;  // explicit --mr/--nr override the small default
   frontend::EpilogueSpec epi;
 
   auto need_value = [&](int& i) -> std::string {
@@ -562,11 +547,11 @@ int main(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") {
       usage(0);
     } else if (arg == "--kernel") {
-      const auto k = cli::parse_kernel(need_value(i));
+      const auto k = frontend::parse_kernel_kind(need_value(i));
       if (!k) usage(1);
       kind = *k;
     } else if (arg == "--isa") {
-      const auto parsed = cli::parse_isa(need_value(i));
+      const auto parsed = parse_isa(need_value(i));
       if (!parsed) usage(1);
       isa = *parsed;
     }
@@ -588,13 +573,9 @@ int main(int argc, char** argv) {
       else if (v == "colmajor") c.layout = BLayout::kColMajor;
       else usage(1);
     } else if (arg == "--strategy") {
-      const std::string v = need_value(i);
-      if (v == "vdup") c.config.strategy = opt::VecStrategy::kVdup;
-      else if (v == "shuf") c.config.strategy = opt::VecStrategy::kShuf;
-      else if (v == "scalar") c.config.strategy = opt::VecStrategy::kScalar;
-      else if (v == "auto") c.config.strategy = opt::VecStrategy::kAuto;
-      else usage(1);
-      strategy_set = true;
+      const auto s = opt::parse_vec_strategy(need_value(i));
+      if (!s) usage(1);
+      c.config.strategy = *s;
     } else if (arg == "--small") {
       const std::string v = need_value(i);
       frontend::SmallGemmSpec spec;
@@ -670,11 +651,10 @@ int main(int argc, char** argv) {
   if (c.small) {
     c.small->epilogue = epi;
     c.op = KernelKind::kGemm;
-    // Mirror the dispatcher's defaults unless explicitly overridden: the
+    // Mirror the dispatcher's default unless explicitly overridden: the
     // register tile follows from the extents (and the scale epilogue's
-    // register pressure), and small kernels vectorize with vdup.
+    // register pressure).
     if (!tile_set) c.params = small_gemm_params(*c.small, c.config.isa);
-    if (!strategy_set) c.config.strategy = opt::VecStrategy::kVdup;
   } else if (epi.scale || epi.bias || epi.relu) {
     std::fprintf(stderr, "--epi requires --small\n");
     usage(1);

@@ -45,13 +45,7 @@ rt::RuntimeConfig test_config(const std::string& dir) {
   rt::RuntimeConfig cfg;
   cfg.cache_dir = dir;
   cfg.use_persistent = true;  // the point of the smoke test
-  augem::tuning::TuneWorkload w;  // reduced workload: CI-speed tuning
-  w.mc = 32;
-  w.nc = 32;
-  w.kc = 64;
-  w.vec_len = 2048;
-  w.reps = 1;
-  cfg.workload_override = w;
+  cfg.workload_override = augem::tuning::kQuickTuneWorkload;  // CI speed
   return cfg;
 }
 

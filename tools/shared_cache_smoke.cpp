@@ -78,29 +78,23 @@ using augem::runtime::TuningDatabase;
     }                                                                   \
   } while (0)
 
-constexpr long kMc = 32, kNc = 32, kKc = 64, kVec = 2048;
-
-augem::tuning::TuneWorkload quick_workload() {
-  augem::tuning::TuneWorkload w;
-  w.mc = kMc;
-  w.nc = kNc;
-  w.kc = kKc;
-  w.vec_len = kVec;
-  w.reps = 1;
-  return w;
-}
+// Tuning and the checksums both run on the quick workload's operands.
+constexpr long kMc = augem::tuning::kQuickTuneWorkload.mc;
+constexpr long kNc = augem::tuning::kQuickTuneWorkload.nc;
+constexpr long kKc = augem::tuning::kQuickTuneWorkload.kc;
+constexpr long kVec = augem::tuning::kQuickTuneWorkload.vec_len;
 
 RuntimeConfig quick_config(const std::string& dir) {
   RuntimeConfig cfg;
   cfg.cache_dir = dir;
   cfg.use_persistent = true;
-  cfg.workload_override = quick_workload();
+  cfg.workload_override = augem::tuning::kQuickTuneWorkload;
   return cfg;
 }
 
 KernelKey large_key(const std::string& kind) {
   return augem::runtime::host_kernel_key(
-      *augem::runtime::parse_kernel_kind(kind), ShapeClass::kLarge);
+      *augem::frontend::parse_kernel_kind(kind), ShapeClass::kLarge);
 }
 
 std::vector<std::string> split(const std::string& list) {
@@ -180,7 +174,7 @@ int run_client(const std::string& dir, const std::string& kinds,
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     std::vector<std::shared_ptr<const CachedKernel>> ks;
     for (const std::string& kind : split(kinds))
-      ks.push_back(rt.resolve(*augem::runtime::parse_kernel_kind(kind),
+      ks.push_back(rt.resolve(*augem::frontend::parse_kernel_kind(kind),
                               ShapeClass::kLarge));
     const auto c = rt.counters();
     out["ok"] = Json(true);
@@ -390,7 +384,8 @@ int run_parent(const std::string& self, const std::string& tunedb) {
   SMOKE_CHECK(TuningDatabase(synthetic).lookup(gemm, stored),
               "synthetic record missing");
   const augem::tuning::TuneResult ref_tune = augem::tuning::tune_gemm(
-      gemm.isa, quick_workload(), augem::tuning::SearchOptions::from_env());
+      gemm.isa, augem::tuning::kQuickTuneWorkload,
+      augem::tuning::SearchOptions::from_env());
   SMOKE_CHECK(ref_tune.trials.size() == stored.trial_log.size(),
               "trial counts diverge: in-process %zu vs stored %zu",
               ref_tune.trials.size(), stored.trial_log.size());
@@ -402,8 +397,7 @@ int run_parent(const std::string& self, const std::string& tunedb) {
                     a.params.unroll == b.params.unroll &&
                     a.params.prefetch.enabled == b.params.prefetch.enabled &&
                     a.params.prefetch.distance == b.params.prefetch.distance &&
-                    a.strategy == b.strategy && a.reason == b.reason &&
-                    a.mflops == b.mflops,
+                    a.reason == b.reason && a.mflops == b.mflops,
                 "trial %zu diverges: %s vs %s", i, a.describe().c_str(),
                 b.describe().c_str());
   }
