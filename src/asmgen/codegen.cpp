@@ -61,13 +61,8 @@ class CodeGenerator {
     // generator (operand completeness, encoding constraints, frame and
     // flags discipline, path-sensitive initialization — and, when the
     // caller supplies a contract, symbolic memory-bounds proofs).
-    int f64_params = 0;
-    for (const Param& p : kernel_.params())
-      if (p.type == ScalarType::kF64) ++f64_params;
-    analysis::AnalyzeOptions aopts;
-    aopts.num_f64_params = f64_params;
-    aopts.contract = contract_;
-    analysis::check_clean(analysis::analyze(out_, aopts), out_);
+    analysis::check_clean(
+        analysis::analyze(out_, analyze_options(kernel_, contract_)), out_);
 
     std::string text = print_function(kernel_.name(), out_);
     return GeneratedKernel{kernel_.name(),  std::move(text),
@@ -658,7 +653,9 @@ class CodeGenerator {
       }
       src = h.reg;
     } else {
-      AUGEM_CHECK(scratch != Gpr::kNoGpr, "expression too deep to evaluate");
+      AUGEM_REFUSE_UNLESS(scratch != Gpr::kNoGpr,
+                          Refusal::Stage::kIntegerScratch,
+                          "expression too deep to evaluate");
       eval_int(rhs, scratch, Gpr::kNoGpr);
       src = scratch;
     }
@@ -702,6 +699,17 @@ class CodeGenerator {
 GeneratedKernel generate_assembly(ir::Kernel kernel, const OptConfig& config,
                                   const analysis::KernelContract* contract) {
   return CodeGenerator(std::move(kernel), config, contract).run();
+}
+
+analysis::AnalyzeOptions analyze_options(
+    const ir::Kernel& kernel, const analysis::KernelContract* contract,
+    const analysis::SemanticsSpec* semantics) {
+  analysis::AnalyzeOptions o;
+  for (const Param& p : kernel.params())
+    if (p.type == ScalarType::kF64) ++o.num_f64_params;
+  o.contract = contract;
+  o.semantics = semantics;
+  return o;
 }
 
 }  // namespace augem::asmgen

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/analyzer.hpp"
 #include "analysis/contract.hpp"
 #include "ir/kernel.hpp"
 #include "opt/optimizers.hpp"
@@ -39,5 +40,12 @@ struct GeneratedKernel {
 /// The kernel is taken by value: identification tags its statements.
 GeneratedKernel generate_assembly(ir::Kernel kernel, const opt::OptConfig& config,
                                   const analysis::KernelContract* contract = nullptr);
+
+/// The analyzer options for machine code generated from `kernel`: its F64
+/// parameters arrive in xmm0..n-1 (SysV), `contract` enables the bounds
+/// pass and `semantics` the translation validator.
+analysis::AnalyzeOptions analyze_options(
+    const ir::Kernel& kernel, const analysis::KernelContract* contract,
+    const analysis::SemanticsSpec* semantics = nullptr);
 
 }  // namespace augem::asmgen

@@ -1,5 +1,7 @@
 #include "augem/augem.hpp"
 
+#include <sstream>
+
 #include "analysis/contract.hpp"
 #include "support/error.hpp"
 
@@ -74,6 +76,42 @@ asmgen::GeneratedKernel generate_small_gemm_kernel(
   const analysis::KernelContract contract =
       analysis::contract_for_small_gemm(spec, k);
   return asmgen::generate_assembly(std::move(k), options.config, &contract);
+}
+
+std::string KernelConfig::to_string() const {
+  std::ostringstream os;
+  os << frontend::kernel_kind_name(kind);
+  if (small) os << " small=" << small->to_string();
+  os << " isa=" << isa_name(config.isa)
+     << " strategy=" << opt::vec_strategy_name(config.strategy);
+  if (kind == KernelKind::kGemm && !small)
+    os << " layout="
+       << (layout == frontend::BLayout::kRowPanel ? "row-panel" : "col-major");
+  os << " " << params.to_string();
+  return os.str();
+}
+
+AnalyzedKernel generate_and_analyze(const KernelConfig& config,
+                                    bool semantics) {
+  // Generated without the contract, so that bounds and semantics findings
+  // come back in the report instead of being thrown.
+  ir::Kernel k =
+      config.small
+          ? transform::generate_small_gemm_c(*config.small, config.params)
+          : transform::generate_optimized_c(config.kind, config.layout,
+                                            config.params);
+  AnalyzedKernel out{asmgen::generate_assembly(std::move(k), config.config),
+                     {}};
+  const ir::Kernel& source = out.kernel.source;
+  const analysis::KernelContract contract =
+      config.small ? analysis::contract_for_small_gemm(*config.small, source)
+                   : analysis::contract_for(config.kind, config.layout,
+                                            config.params, source);
+  const analysis::SemanticsSpec spec{config.kind, config.layout, config.small};
+  out.report = analysis::analyze(
+      out.kernel.insts, asmgen::analyze_options(source, &contract,
+                                                semantics ? &spec : nullptr));
+  return out;
 }
 
 KernelSet::KernelSet(Isa isa) {

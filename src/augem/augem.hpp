@@ -11,6 +11,7 @@
 //     "AUGEM" series of every figure and table, serves kernels through.
 
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "asmgen/codegen.hpp"
@@ -63,6 +64,32 @@ GenerateOptions default_small_gemm_options(const frontend::SmallGemmSpec& spec,
 /// bias extent m when fused).
 asmgen::GeneratedKernel generate_small_gemm_kernel(
     const frontend::SmallGemmSpec& spec, const GenerateOptions& options);
+
+/// One generator configuration, as the static-analysis gate and the
+/// differential fuzzer draw them: a blocked `kind` kernel, or with `small`
+/// set the shape-specialized small-GEMM kernel for that spec (`kind` is
+/// then GEMM and `layout` unused).
+struct KernelConfig : GenerateOptions {
+  frontend::KernelKind kind = frontend::KernelKind::kGemm;
+  std::optional<frontend::SmallGemmSpec> small;
+
+  std::string to_string() const;
+};
+
+/// A generated kernel with the full static analysis of its machine code.
+struct AnalyzedKernel {
+  asmgen::GeneratedKernel kernel;
+  analysis::AnalysisReport report;
+};
+
+/// Generates `config` and analyzes its machine code against its calling
+/// contract, proving every memory access in bounds, and with `semantics`
+/// also against its reference semantics (translation validation). The
+/// findings are returned, not thrown. Generation runs the analyzer's
+/// structural passes as always: a refused configuration throws
+/// augem::Refusal, and any other augem::Error is a generator defect.
+AnalyzedKernel generate_and_analyze(const KernelConfig& config,
+                                    bool semantics);
 
 /// The four generated kernels, JIT-compiled and callable.
 class KernelSet {

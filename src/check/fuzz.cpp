@@ -14,6 +14,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "asmgen/codegen.hpp"
+#include "augem/augem.hpp"
 #include "augem/augem_blas.hpp"
 #include "blas/driver.hpp"
 #include "blas/level3.hpp"
@@ -28,7 +29,6 @@
 #include "support/arch.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
-#include "transform/ckernel.hpp"
 #include "vm/machine.hpp"
 
 namespace augem::check {
@@ -130,25 +130,6 @@ void poison(Buf& b, Rng& rng, Poison p) {
 
 // ---- kernel configurations ------------------------------------------------
 
-struct CaseConfig {
-  KernelKind op = KernelKind::kGemm;
-  BLayout layout = BLayout::kRowPanel;
-  Isa isa = Isa::kAvx;
-  opt::VecStrategy strategy = opt::VecStrategy::kVdup;
-  transform::CGenParams params;
-
-  std::string to_string() const {
-    std::ostringstream os;
-    os << frontend::kernel_kind_name(op) << " isa=" << isa_name(isa)
-       << " strategy=" << opt::vec_strategy_name(strategy);
-    if (op == KernelKind::kGemm)
-      os << " layout="
-         << (layout == BLayout::kRowPanel ? "row-panel" : "col-major");
-    os << " " << params.to_string();
-    return os.str();
-  }
-};
-
 template <typename T, std::size_t N>
 T pick(Rng& rng, const T (&menu)[N]) {
   return menu[rng.uniform_int(0, static_cast<std::int64_t>(N) - 1)];
@@ -157,19 +138,19 @@ T pick(Rng& rng, const T (&menu)[N]) {
 constexpr std::int64_t kSlackMenu[3] = {0, 1, 5};
 constexpr std::int64_t kSmallSlackMenu[3] = {0, 1, 3};
 
-CaseConfig draw_config(Rng& rng) {
-  CaseConfig c;
+KernelConfig draw_config(Rng& rng) {
+  KernelConfig c;
   constexpr KernelKind kOps[5] = {KernelKind::kGemm, KernelKind::kGemv,
                                   KernelKind::kAxpy, KernelKind::kDot,
                                   KernelKind::kScal};
-  c.op = pick(rng, kOps);
+  c.kind = pick(rng, kOps);
   constexpr Isa kIsas[4] = {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4};
-  c.isa = pick(rng, kIsas);
+  c.config.isa = pick(rng, kIsas);
   constexpr opt::VecStrategy kStrategies[3] = {opt::VecStrategy::kVdup,
                                                opt::VecStrategy::kShuf,
                                                opt::VecStrategy::kScalar};
-  c.strategy = pick(rng, kStrategies);
-  if (c.op == KernelKind::kGemm)
+  c.config.strategy = pick(rng, kStrategies);
+  if (c.kind == KernelKind::kGemm)
     c.layout =
         rng.uniform_int(0, 1) ? BLayout::kColMajor : BLayout::kRowPanel;
   constexpr int kTiles[4] = {1, 2, 4, 8};
@@ -322,9 +303,9 @@ struct KInstance {
   }
 };
 
-KInstance draw_kinstance(Rng& rng, const CaseConfig& cfg) {
+KInstance draw_kinstance(Rng& rng, const KernelConfig& cfg) {
   KInstance in;
-  switch (cfg.op) {
+  switch (cfg.kind) {
     case KernelKind::kGemm:
       in.d[0] = cfg.params.mr * rng.uniform_int(1, 3);
       in.d[1] = cfg.params.nr * rng.uniform_int(1, 3);
@@ -352,7 +333,7 @@ KInstance draw_kinstance(Rng& rng, const CaseConfig& cfg) {
 
 struct CaseRt {
   std::uint64_t case_seed = 0;
-  CaseConfig cfg;
+  KernelConfig cfg;
   /// Set once generation succeeds (GeneratedKernel has no default state).
   std::optional<asmgen::GeneratedKernel> g;
   std::unique_ptr<jit::CompiledModule> mod;  ///< null when the JIT path is off
@@ -377,7 +358,7 @@ std::optional<std::string> check_kernel(CaseRt& rt, Path path,
   Rng rng(mix(rt.case_seed, 0xda7a));
   const asmgen::GeneratedKernel& g = *rt.g;
 
-  switch (rt.cfg.op) {
+  switch (rt.cfg.kind) {
     case KernelKind::kGemm: {
       const index_t mc = in.d[0], nc = in.d[1], kc = in.d[2];
       const index_t ldc = mc + in.d[3];
@@ -480,7 +461,7 @@ std::optional<std::string> check_kernel(CaseRt& rt, Path path,
       poison(y, rng, in.p);
       const std::vector<double> x0 = x.payload(), y0 = y.payload();
 
-      if (rt.cfg.op == KernelKind::kDot) {
+      if (rt.cfg.kind == KernelKind::kDot) {
         const double want = oracle_dot(n, x.cdata(), y.cdata());
         double got = 0.0;
         switch (path) {
@@ -511,7 +492,7 @@ std::optional<std::string> check_kernel(CaseRt& rt, Path path,
         return std::nullopt;
       }
 
-      const bool is_axpy = rt.cfg.op == KernelKind::kAxpy;
+      const bool is_axpy = rt.cfg.kind == KernelKind::kAxpy;
       Buf& out = is_axpy ? y : x;
       std::vector<double> want = out.payload();
       if (is_axpy)
@@ -592,7 +573,7 @@ struct DInstance {
   }
 };
 
-DInstance draw_dinstance(Rng& rng, const CaseConfig& cfg) {
+DInstance draw_dinstance(Rng& rng, const KernelConfig& cfg) {
   DInstance in;
   in.m = dim_near(rng, cfg.params.mr);
   in.n = dim_near(rng, cfg.params.nr);
@@ -698,7 +679,7 @@ struct BInstance {
   }
 };
 
-BInstance draw_binstance(Rng& rng, const CaseConfig& cfg) {
+BInstance draw_binstance(Rng& rng, const KernelConfig& cfg) {
   BInstance in;
   in.m = dim_near(rng, cfg.params.mr);
   in.n = dim_near(rng, std::max(cfg.params.nr, cfg.params.unroll));
@@ -707,7 +688,7 @@ BInstance draw_binstance(Rng& rng, const CaseConfig& cfg) {
   in.ta = rng.uniform_int(0, 1) ? Trans::kYes : Trans::kNo;
   in.tb = rng.uniform_int(0, 1) ? Trans::kYes : Trans::kNo;
   const bool elementwise_alpha =
-      cfg.op == KernelKind::kAxpy || cfg.op == KernelKind::kScal;
+      cfg.kind == KernelKind::kAxpy || cfg.kind == KernelKind::kScal;
   in.alpha = draw_alpha(rng, elementwise_alpha);
   in.beta = draw_alpha(rng, /*allow_nonfinite=*/true);
   constexpr Poison kPoisons[7] = {Poison::kNone, Poison::kNone, Poison::kNone,
@@ -716,7 +697,7 @@ BInstance draw_binstance(Rng& rng, const CaseConfig& cfg) {
   in.pdata = pick(rng, kPoisons);
   // GEMM implementations fold alpha into their packed panels; keep A/B
   // finite unless the fold is exact (see DInstance).
-  if (cfg.op == KernelKind::kGemm && in.pdata != Poison::kNone &&
+  if (cfg.kind == KernelKind::kGemm && in.pdata != Poison::kNone &&
       in.alpha != 1.0 && in.alpha != -1.0)
     in.alpha = 1.0;
   return in;
@@ -1388,13 +1369,6 @@ RunCtx make_run_ctx(const FuzzOptions& opts) {
   return ctx;
 }
 
-int count_f64_params(const ir::Kernel& k) {
-  int n = 0;
-  for (const ir::Param& p : k.params())
-    if (p.type == ir::ScalarType::kF64) ++n;
-  return n;
-}
-
 void log_failure(const FuzzOptions& opts, const Failure& f) {
   if (opts.log == nullptr) return;
   *opts.log << "FAIL case " << f.case_index << " [" << f.path << "] "
@@ -1512,80 +1486,58 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
       rep.failures.push_back(std::move(f));
     };
 
-    // ---- generation + static verification --------------------------------
+    // ---- generation + static proofs ---------------------------------------
+    // A refusal is the generator declining an out-of-domain configuration.
+    // Any other generation error (an internal check, or the structural
+    // analysis generation runs on every kernel) fails the `verifier` path.
+    // Beyond that, the bounds proofs (`mirlint`) show from the kernel
+    // contract alone that every memory access stays inside the caller's
+    // buffers, and the translation validator (`semantics`) rides the same
+    // analysis: a proof failure is a generator bug even if every numeric
+    // path agrees.
+    analysis::AnalysisReport report;
+    std::string generation_error;
     try {
-      ir::Kernel k = transform::generate_optimized_c(rt.cfg.op, rt.cfg.layout,
-                                                     rt.cfg.params);
-      opt::OptConfig oc;
-      oc.isa = rt.cfg.isa;
-      oc.strategy = rt.cfg.strategy;
-      rt.g.emplace(asmgen::generate_assembly(std::move(k), oc));
-    } catch (const Error&) {
-      // The planner / register allocator refused this configuration — an
-      // expected outcome for out-of-domain points, not a failure.
+      AnalyzedKernel a = generate_and_analyze(rt.cfg, opts.run_semantics);
+      rt.g.emplace(std::move(a.kernel));
+      report = std::move(a.report);
+    } catch (const Refusal&) {
       ++rep.configs_rejected;
+      continue;
+    } catch (const Error& e) {
+      generation_error = e.what();
+    }
+    ++rep.path_runs["verifier"];
+    if (!rt.g) {
+      record("verifier", kin.to_string(rt.cfg.kind), generation_error);
+      continue;  // no machine code to run
+    }
+
+    ++rep.path_runs["mirlint"];
+    if (opts.run_semantics) ++rep.path_runs["semantics"];
+    if (report.errors() > 0) {
+      std::ostringstream bounds_os, sem_os;
+      for (const analysis::Finding& f : report.findings) {
+        if (f.severity != analysis::Severity::kError) continue;
+        std::ostringstream& os =
+            f.kind.rfind("semantics-", 0) == 0 ? sem_os : bounds_os;
+        os << "[inst " << f.index << "] " << f.kind << ": " << f.message
+           << "; ";
+      }
+      if (!bounds_os.str().empty())
+        record("mirlint", kin.to_string(rt.cfg.kind), bounds_os.str());
+      if (!sem_os.str().empty())
+        record("semantics", kin.to_string(rt.cfg.kind), sem_os.str());
       continue;
     }
 
-    ++rep.path_runs["verifier"];
-    {
-      analysis::AnalyzeOptions vopts;
-      vopts.num_f64_params = count_f64_params(rt.g->source);
-      const analysis::AnalysisReport vr = analysis::analyze(rt.g->insts, vopts);
-      if (vr.errors() > 0) {
-        std::ostringstream os;
-        for (const analysis::Finding& f : vr.findings)
-          if (f.severity == analysis::Severity::kError)
-            os << "[inst " << f.index << "] " << f.message << "; ";
-        record("verifier", kin.to_string(rt.cfg.op), os.str());
-        continue;  // the machine code is suspect; skip the numeric paths
-      }
-    }
-
-    // ---- full static analysis with bounds proofs --------------------------
-    // Beyond the structural verifier: prove, from the kernel contract alone,
-    // that every memory access stays inside the caller's buffers. A proof
-    // failure here is a generator bug even if every numeric path agrees.
-    ++rep.path_runs["mirlint"];
-    if (opts.run_semantics) ++rep.path_runs["semantics"];
-    {
-      const analysis::KernelContract contract = analysis::contract_for(
-          rt.cfg.op, rt.cfg.layout, rt.cfg.params, rt.g->source);
-      analysis::SemanticsSpec sspec;
-      sspec.kind = rt.cfg.op;
-      sspec.layout = rt.cfg.layout;
-      analysis::AnalyzeOptions aopts;
-      aopts.num_f64_params = count_f64_params(rt.g->source);
-      aopts.contract = &contract;
-      // The translation validator rides the same analyze() call, so the
-      // static proofs cost one pass per case; its findings are attributed
-      // to their own path (the `semantics-*` kind prefix).
-      if (opts.run_semantics) aopts.semantics = &sspec;
-      const analysis::AnalysisReport ar = analysis::analyze(rt.g->insts, aopts);
-      if (ar.errors() > 0) {
-        std::ostringstream bounds_os, sem_os;
-        for (const analysis::Finding& f : ar.findings) {
-          if (f.severity != analysis::Severity::kError) continue;
-          std::ostringstream& os =
-              f.kind.rfind("semantics-", 0) == 0 ? sem_os : bounds_os;
-          os << "[inst " << f.index << "] " << f.kind << ": " << f.message
-             << "; ";
-        }
-        if (!bounds_os.str().empty())
-          record("mirlint", kin.to_string(rt.cfg.op), bounds_os.str());
-        if (!sem_os.str().empty())
-          record("semantics", kin.to_string(rt.cfg.op), sem_os.str());
-        continue;
-      }
-    }
-
-    const bool native = run.jit_ok && host_arch().supports(rt.cfg.isa);
+    const bool native = run.jit_ok && host_arch().supports(rt.cfg.config.isa);
     if (native) {
       try {
         rt.mod = std::make_unique<jit::CompiledModule>(
             jit::assemble(rt.g->asm_text));
       } catch (const Error& e) {
-        record("jit-assemble", kin.to_string(rt.cfg.op), e.what());
+        record("jit-assemble", kin.to_string(rt.cfg.kind), e.what());
         continue;
       }
     }
@@ -1610,7 +1562,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
       if (opts.shrink) {
         auto fails = [&]() { return run_check(small).has_value(); };
         const std::int64_t mr = rt.cfg.params.mr, nr = rt.cfg.params.nr;
-        if (rt.cfg.op == KernelKind::kGemm)
+        if (rt.cfg.kind == KernelKind::kGemm)
           shrink_dims({&small.d[0], &small.d[1], &small.d[2], &small.d[3]},
                       {mr, nr, 0, 0}, {mr, nr, 1, 1}, fails);
         else
@@ -1624,7 +1576,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
           fail = run_check(small);
         }
       }
-      record(path_name(p), small.to_string(rt.cfg.op),
+      record(path_name(p), small.to_string(rt.cfg.kind),
              fail.value_or("unreproducible after shrink"));
     }
 
@@ -1633,7 +1585,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     // kernels are VM/interp-only by construction. The block function is
     // shared with the Level-3 engine path below.
     augem::GemmBlockFn block;
-    if (rt.cfg.op == KernelKind::kGemm &&
+    if (rt.cfg.kind == KernelKind::kGemm &&
         rt.cfg.layout == BLayout::kColMajor) {
       if (rt.mod != nullptr) {
         auto* fn = rt.mod->fn<void(long, long, long, const double*,
@@ -1691,17 +1643,17 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
         if (static_cast<std::int64_t>(rep.failures.size()) >=
             opts.max_failures)
           break;
-        const int variants = rt.cfg.op == KernelKind::kGemv ? 2 : 1;
+        const int variants = rt.cfg.kind == KernelKind::kGemv ? 2 : 1;
         for (int v = 0; v < variants; ++v) {
           const bool transposed = v == 1;
           std::string pname = "blas:" + nb.name + ":" +
-                              frontend::kernel_kind_name(rt.cfg.op);
+                              frontend::kernel_kind_name(rt.cfg.kind);
           if (transposed) pname += "_t";
           ++rep.path_runs[pname];
           auto run_check =
               [&](const BInstance& inst) -> std::optional<std::string> {
             try {
-              return check_blas(case_seed, *nb.impl, rt.cfg.op, transposed,
+              return check_blas(case_seed, *nb.impl, rt.cfg.kind, transposed,
                                 inst);
             } catch (const Error& e) {
               return std::string("execution error: ") + e.what();
@@ -1723,7 +1675,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
               fail = run_check(small);
             }
           }
-          record(pname, small.to_string(rt.cfg.op),
+          record(pname, small.to_string(rt.cfg.kind),
                  fail.value_or("unreproducible after shrink"));
         }
       }
@@ -1734,7 +1686,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     // without ballooning JIT builds (each distinct shape+epilogue builds
     // once into the run's shared code cache).
     if (opts.run_batch && run.batch_impl != nullptr &&
-        rt.cfg.op == KernelKind::kGemm &&
+        rt.cfg.kind == KernelKind::kGemm &&
         static_cast<std::int64_t>(rep.failures.size()) < opts.max_failures) {
       ++rep.path_runs["batch"];
       auto run_check = [&](const TInstance& inst) -> std::optional<std::string> {
@@ -1776,7 +1728,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
     // families per case: every Blas implementation, the RuntimeBlas
     // dispatch path, and the engine on the case's kernel (serial vs
     // threaded, bit-compared).
-    if (opts.run_level3 && rt.cfg.op == KernelKind::kGemm) {
+    if (opts.run_level3 && rt.cfg.kind == KernelKind::kGemm) {
       const std::string routine = l3_name(lin.routine);
       auto sweep_l3 = [&](const std::string& pname,
                           const std::function<std::optional<std::string>(

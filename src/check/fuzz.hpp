@@ -27,8 +27,9 @@
 //     NaN-filled unstored triangles proving the masked accessors never read
 //     outside the stored triangle.
 //
-// Every generated kernel additionally passes through the static machine-code
-// checks (`analysis::analyze`, error findings only). All numeric paths are
+// Every generated kernel additionally carries the full static analysis of
+// its machine code (`augem::generate_and_analyze`: bounds proofs and
+// translation validation, error findings only). All numeric paths are
 // cross-checked element-wise against a reference oracle under the ULP
 // policy of check/ulp.hpp; on mismatch the harness shrinks the instance to
 // a minimal reproducer and records a machine-readable failure. Everything
@@ -81,9 +82,10 @@ struct Failure {
 struct FuzzReport {
   std::uint64_t seed = 0;
   std::int64_t cases_run = 0;
-  /// Configurations outside the generator's domain (vectorization planner
-  /// or register allocator rejected them). Not failures: the pipeline is
-  /// expected to refuse them with a clear error.
+  /// Configurations the generator refuses (augem::Refusal: the planner,
+  /// or vector or integer registers ran out). Not failures: refusing an
+  /// out-of-domain configuration is correct. Any other generation error
+  /// is a failure on the `verifier` path.
   std::int64_t configs_rejected = 0;
   /// Number of executions per path name (how often each path actually ran).
   std::map<std::string, std::int64_t> path_runs;

@@ -12,15 +12,6 @@ void for_each_stmt(const StmtList& stmts,
   }
 }
 
-void for_each_stmt_mutable(StmtList& stmts,
-                           const std::function<void(Stmt&)>& fn) {
-  for (StmtPtr& s : stmts) {
-    fn(*s);
-    if (auto* loop = as_mutable<ForStmt>(*s))
-      for_each_stmt_mutable(loop->mutable_body(), fn);
-  }
-}
-
 namespace {
 
 void visit_expr_tree(const Expr& e, const std::function<void(const Expr&)>& fn) {
@@ -138,17 +129,6 @@ StmtList substitute_var(const StmtList& stmts, const std::string& name,
       return replacement.clone();
     return nullptr;
   });
-}
-
-bool mentions_var(const StmtList& stmts, const std::string& name) {
-  bool found = false;
-  for_each_expr(stmts, [&](const Expr& e) {
-    if (const auto* v = as<VarRef>(e); v != nullptr && v->name() == name)
-      found = true;
-    if (const auto* a = as<ArrayRef>(e); a != nullptr && a->base() == name)
-      found = true;
-  });
-  return found;
 }
 
 }  // namespace augem::ir

@@ -16,9 +16,6 @@ namespace augem::ir {
 void for_each_stmt(const StmtList& stmts,
                    const std::function<void(const Stmt&)>& fn);
 
-/// Mutable pre-order walk.
-void for_each_stmt_mutable(StmtList& stmts, const std::function<void(Stmt&)>& fn);
-
 /// Walk over every expression appearing in a statement list (assignment
 /// sides, loop bounds, prefetch indices), including sub-expressions.
 void for_each_expr(const StmtList& stmts,
@@ -41,9 +38,5 @@ ExprPtr substitute_var(const Expr& e, const std::string& name,
 /// Substitutes a variable throughout a statement list.
 StmtList substitute_var(const StmtList& stmts, const std::string& name,
                         const Expr& replacement);
-
-/// True if any expression in `stmts` mentions variable `name` (as VarRef or
-/// as an ArrayRef base).
-bool mentions_var(const StmtList& stmts, const std::string& name);
 
 }  // namespace augem::ir

@@ -120,12 +120,12 @@ class Planner {
                             region.n2 == w;
     rp.use_shuf = config_.strategy == VecStrategy::kShuf;
     if (rp.use_shuf)
-      AUGEM_CHECK(shuf_legal,
-                  "Shuf strategy requires an n×n tile (n = SIMD width) with "
-                  "contiguous B elements; region #"
-                      << region.id << " has n1=" << region.n1
-                      << " n2=" << region.n2
-                      << " b_contiguous=" << region.b_contiguous);
+      AUGEM_REFUSE_UNLESS(shuf_legal, Refusal::Stage::kPlanner,
+                          "Shuf strategy requires an n×n tile (n = SIMD "
+                          "width) with contiguous B elements; region #"
+                              << region.id << " has n1=" << region.n1
+                              << " n2=" << region.n2
+                              << " b_contiguous=" << region.b_contiguous);
     plan_.regions[region.id] = rp;
 
     // Index accumulators by (ia, jj): ia = A offset rank, jj = B element
@@ -287,9 +287,9 @@ class Planner {
   void check_budget() {
     const int held = static_cast<int>(plan_.groups.size()) +
                      static_cast<int>(plan_.broadcast_scals.size());
-    AUGEM_CHECK(held <= kNumVrs - 4,
-                "vector register budget exceeded: " << held
-                                                    << " persistent registers");
+    AUGEM_REFUSE_UNLESS(held <= kNumVrs - 4, Refusal::Stage::kPlanner,
+                        "vector register budget exceeded: "
+                            << held << " persistent registers");
   }
 
   const MatchResult& match_;

@@ -50,8 +50,9 @@ Vr VrAllocator::alloc(const std::string& affinity) {
         best = static_cast<int>(i);
       }
     }
-    AUGEM_CHECK(best >= 0, "out of vector registers (affinity '" << affinity
-                                                                 << "')");
+    AUGEM_REFUSE_UNLESS(best >= 0, Refusal::Stage::kVectorRegisters,
+                        "out of vector registers (affinity '" << affinity
+                                                              << "')");
     q = best;
   }
   const Vr r = queues_[q].front();

@@ -54,7 +54,7 @@ RetuneOutcome retune(TuningDatabase& db, const KernelKey& key,
 
   TunedVariant cand;
   std::shared_ptr<CachedKernel> cand_kernel;
-  perf::Measurement inc_m;
+  std::optional<perf::Measurement> inc_m;
   perf::Measurement cand_m;
   try {
     cand = candidate ? *candidate
@@ -64,23 +64,33 @@ RetuneOutcome retune(TuningDatabase& db, const KernelKey& key,
                                : tuning::tune_level1(key.kind, key.isa,
                                                      workload));
     if (same_configuration(cand, incumbent)) return RetuneOutcome::kUnchanged;
-    inc_m = measure(*build_variant(key, incumbent), workload, runner);
+    try {
+      inc_m = measure(*build_variant(key, incumbent), workload, runner);
+    } catch (const Refusal&) {
+      // The generator refuses the stored incumbent, so it cannot be served
+      // and there is nothing to gate the candidate against.
+    }
     cand_kernel = build_variant(key, cand);
     cand_m = measure(*cand_kernel, workload, runner);
   } catch (const Error&) {
     return RetuneOutcome::kError;
   }
 
-  perf::BenchReport base = perf::make_host_report("promotion");
-  perf::BenchReport cur = base;
-  base.rows.push_back(perf::BenchRow::from_measurement(inc_m, key.to_string()));
-  cur.rows.push_back(perf::BenchRow::from_measurement(cand_m, key.to_string()));
-  perf::DiffOptions dopts;
-  dopts.threshold = kPromoteThreshold;
-  const perf::DiffResult diff = perf::diff_reports(base, cur, dopts);
-  if (!diff.comparable() || diff.rows.size() != 1) return RetuneOutcome::kError;
-  if (diff.rows[0].verdict != perf::RowVerdict::kImproved)
-    return RetuneOutcome::kRejected;
+  if (inc_m) {
+    perf::BenchReport base = perf::make_host_report("promotion");
+    perf::BenchReport cur = base;
+    base.rows.push_back(
+        perf::BenchRow::from_measurement(*inc_m, key.to_string()));
+    cur.rows.push_back(
+        perf::BenchRow::from_measurement(cand_m, key.to_string()));
+    perf::DiffOptions dopts;
+    dopts.threshold = kPromoteThreshold;
+    const perf::DiffResult diff = perf::diff_reports(base, cur, dopts);
+    if (!diff.comparable() || diff.rows.size() != 1)
+      return RetuneOutcome::kError;
+    if (diff.rows[0].verdict != perf::RowVerdict::kImproved)
+      return RetuneOutcome::kRejected;
+  }
 
   cand.mflops = cand_m.mflops();
   const KeyLock lock(db, key);

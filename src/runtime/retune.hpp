@@ -8,7 +8,9 @@
 // BenchRunner. The candidate replaces the incumbent only when the perf
 // harness's report diff (src/perf/report.hpp) calls it `improved` beyond
 // kPromoteThreshold and the pooled confidence intervals, so noise can
-// neither promote a loser nor flap between equivalent variants. A
+// neither promote a loser nor flap between equivalent variants. An
+// incumbent the generator refuses (augem::Refusal) cannot be served, so
+// the candidate replaces it without the A/B gate. A
 // promotion republishes the key's artifact under the key's lock: processes
 // already running keep the code they mapped, later resolves map the
 // winner.
@@ -25,7 +27,8 @@ namespace augem::runtime {
 inline constexpr double kPromoteThreshold = 0.05;
 
 enum class RetuneOutcome {
-  kPromoted,   ///< verdict improved: record and artifact replaced
+  kPromoted,   ///< verdict improved, or the incumbent is refused: record
+               ///< and artifact replaced
   kRejected,   ///< verdict not improved: incumbent kept
   kUnchanged,  ///< candidate has the incumbent's configuration: no gate
   kError,      ///< no incumbent, or generation or measurement failed

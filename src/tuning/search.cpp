@@ -35,16 +35,14 @@ bool parse_infeasible_reason(const std::string& name, InfeasibleReason& out) {
   return false;
 }
 
-InfeasibleReason classify_infeasible(const std::string& error_message) {
-  // The stages are identified by their diagnostic text (src/opt/plan.cpp
-  // and src/opt/regalloc.cpp); tests/tuning pins these so a reworded
-  // message fails loudly instead of silently reclassifying.
-  if (error_message.find("out of vector registers") != std::string::npos)
-    return InfeasibleReason::kRegallocExhausted;
-  if (error_message.find("vector register budget exceeded") !=
-          std::string::npos ||
-      error_message.find("Shuf strategy requires") != std::string::npos)
-    return InfeasibleReason::kPlannerRejected;
+InfeasibleReason infeasible_reason(Refusal::Stage stage) {
+  switch (stage) {
+    case Refusal::Stage::kPlanner:
+      return InfeasibleReason::kPlannerRejected;
+    case Refusal::Stage::kVectorRegisters:
+    case Refusal::Stage::kIntegerScratch:
+      return InfeasibleReason::kRegallocExhausted;
+  }
   return InfeasibleReason::kOther;
 }
 

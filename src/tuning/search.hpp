@@ -16,26 +16,29 @@
 
 #include "frontend/kernels.hpp"
 #include "opt/plan.hpp"
+#include "support/error.hpp"
 #include "transform/ckernel.hpp"
 
 namespace augem::tuning {
 
-/// Why an evaluated point produced no kernel. Split by pipeline stage so
-/// the trial log distinguishes a tile the planner refuses to lay out from
-/// one the register allocator cannot color (the two prune for different
-/// reasons and shrink differently as ISAs grow registers).
+/// Why an evaluated point produced no kernel. Split by the stage of the
+/// generator's refusal (augem::Refusal) so the trial log distinguishes a
+/// tile the planner refuses to lay out from one the register allocator
+/// cannot color (the two prune for different reasons and shrink
+/// differently as ISAs grow registers).
 enum class InfeasibleReason {
   kNone,              ///< the point was feasible (a kernel was produced)
   kPlannerRejected,   ///< vector plan refused the shape/register budget
-  kRegallocExhausted, ///< plan accepted, register allocation ran out
-  kOther,             ///< any other generation failure
+  kRegallocExhausted, ///< plan accepted, vector or integer registers ran out
+  kOther,             ///< any other error: a defect, not a refusal
 };
 
 const char* infeasible_reason_name(InfeasibleReason r);
 bool parse_infeasible_reason(const std::string& name, InfeasibleReason& out);
 
-/// Maps a generation error message onto the pipeline stage that raised it.
-InfeasibleReason classify_infeasible(const std::string& error_message);
+/// The reason a refusal at `stage` is logged with: integer-scratch
+/// exhaustion counts as register allocation.
+InfeasibleReason infeasible_reason(Refusal::Stage stage);
 
 /// Search policy knobs. `from_env()` reads AUGEM_TUNE_SYNTHETIC: "1"
 /// scores points with a deterministic model (feasibility stays real; used

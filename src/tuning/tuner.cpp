@@ -66,8 +66,8 @@ constexpr perf::RunnerOptions kTrialSampling = {
     .warmup_min_reps = 0, .warmup_max_reps = 0, .check_frequency = false};
 
 /// Builds + JITs one candidate and times it with the trial runner,
-/// summarizing its per-call MFLOPS. Throws (planner/regalloc/codegen
-/// Error) when the point is infeasible.
+/// summarizing its per-call MFLOPS. Throws augem::Refusal when the
+/// generator refuses the point.
 perf::Summary time_candidate(KernelKind kind, const CGenParams& params,
                              const OptConfig& config, const TuneWorkload& w) {
   ir::Kernel opt_c =
@@ -138,10 +138,10 @@ class SearchRun {
       }
       t.feasible = true;
       t.reason = InfeasibleReason::kNone;
-    } catch (const Error& e) {
-      t.feasible = false;
-      t.mflops = 0.0;
-      t.reason = classify_infeasible(e.what());
+    } catch (const Refusal& r) {
+      t.reason = infeasible_reason(r.stage());
+    } catch (const Error&) {
+      t.reason = InfeasibleReason::kOther;
     }
     const std::size_t idx = result_.trials.size();
     result_.trials.push_back(std::move(t));

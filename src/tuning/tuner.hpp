@@ -9,9 +9,9 @@
 // the served default kernel it generates + JITs + times each visited
 // point, moves only when a neighbor's improvement clears the pooled
 // confidence interval of the two measurements, and stops where none does.
-// Configurations the planner or the register allocator rejects are logged
-// as infeasible (with the stage that rejected them) and pruned, exactly
-// like ATLAS-style search spaces.
+// Configurations the generator refuses (augem::Refusal) are logged as
+// infeasible, with the stage that refused them, and pruned, exactly like
+// ATLAS-style search spaces.
 
 #include <string>
 #include <vector>

@@ -32,7 +32,6 @@ struct GenCase {
   asmgen::GeneratedKernel g;
   KernelContract contract;
   SemanticsSpec spec;
-  int f64_params = 0;
 };
 
 GenCase generate(KernelKind op, opt::VecStrategy strategy,
@@ -54,9 +53,7 @@ GenCase generate(KernelKind op, opt::VecStrategy strategy,
   ir::Kernel k = small ? transform::generate_small_gemm_c(*small, params)
                        : transform::generate_optimized_c(
                              op, BLayout::kRowPanel, params);
-  GenCase gc{asmgen::generate_assembly(std::move(k), oc), {}, {}, 0};
-  for (const ir::Param& p : gc.g.source.params())
-    if (p.type == ir::ScalarType::kF64) ++gc.f64_params;
+  GenCase gc{asmgen::generate_assembly(std::move(k), oc), {}, {}};
   gc.contract = small
                     ? contract_for_small_gemm(*small, gc.g.source)
                     : contract_for(op, BLayout::kRowPanel, params, gc.g.source);
@@ -67,11 +64,8 @@ GenCase generate(KernelKind op, opt::VecStrategy strategy,
 }
 
 AnalysisReport analyze_semantics(const GenCase& gc) {
-  AnalyzeOptions aopts;
-  aopts.num_f64_params = gc.f64_params;
-  aopts.contract = &gc.contract;
-  aopts.semantics = &gc.spec;
-  return analyze(gc.g.insts, aopts);
+  return analyze(gc.g.insts,
+                 asmgen::analyze_options(gc.g.source, &gc.contract, &gc.spec));
 }
 
 /// The defect fixtures' common assertion: every earlier pass stays clean,

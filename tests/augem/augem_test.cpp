@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "support/buffer.hpp"
 #include "support/rng.hpp"
 #include "support/error.hpp"
@@ -28,6 +30,74 @@ TEST(Augem, GenerateKernelProducesAssemblyForAnyIsa) {
   const auto g = generate_kernel(KernelKind::kGemm, o);
   EXPECT_NE(g.asm_text.find("vfmaddpd"), std::string::npos);
   EXPECT_NE(g.asm_text.find("dgemm_kernel:"), std::string::npos);
+}
+
+/// The stage of the refusal that generating `o` throws, or nothing when
+/// it generates.
+std::optional<Refusal::Stage> refusal_stage(const GenerateOptions& o) {
+  try {
+    (void)generate_kernel(KernelKind::kGemm, o);
+  } catch (const Refusal& r) {
+    return r.stage();
+  }
+  return std::nullopt;
+}
+
+TEST(Augem, EachRefusalThrowsItsStage) {
+  auto fma3 = [](int mr, int nr, frontend::BLayout layout) {
+    GenerateOptions o = default_options(KernelKind::kGemm, Isa::kFma3);
+    o.params.mr = mr;
+    o.params.nr = nr;
+    o.layout = layout;
+    return o;
+  };
+  // The planner: a Shuf tile that is not n×n, and too many accumulators.
+  GenerateOptions shuf = fma3(8, 4, frontend::BLayout::kRowPanel);
+  shuf.config.strategy = opt::VecStrategy::kShuf;
+  EXPECT_EQ(refusal_stage(shuf), Refusal::Stage::kPlanner);
+  EXPECT_EQ(refusal_stage(fma3(16, 4, frontend::BLayout::kColMajor)),
+            Refusal::Stage::kPlanner);
+  // The vector register allocator, and the integer scratch registers once
+  // column-major B's per-column cursors spill.
+  EXPECT_EQ(refusal_stage(fma3(3, 7, frontend::BLayout::kColMajor)),
+            Refusal::Stage::kVectorRegisters);
+  EXPECT_EQ(refusal_stage(fma3(4, 8, frontend::BLayout::kColMajor)),
+            Refusal::Stage::kIntegerScratch);
+  EXPECT_EQ(refusal_stage(fma3(8, 4, frontend::BLayout::kColMajor)),
+            std::nullopt);
+}
+
+TEST(Augem, InvalidTileIsAnErrorNotARefusal) {
+  GenerateOptions o = default_options(KernelKind::kGemm, Isa::kFma3);
+  o.params.mr = 0;
+  try {
+    (void)generate_kernel(KernelKind::kGemm, o);
+    FAIL() << "mr = 0 generated";
+  } catch (const Refusal& r) {
+    FAIL() << "mr = 0 was refused as out of domain: " << r.what();
+  } catch (const Error&) {
+  }
+}
+
+TEST(Augem, GenerateAndAnalyzeProvesTheServedKernels) {
+  KernelConfig gemm{default_options(KernelKind::kGemm, Isa::kFma3),
+                    KernelKind::kGemm, std::nullopt};
+  AnalyzedKernel a = generate_and_analyze(gemm, /*semantics=*/true);
+  EXPECT_EQ(a.kernel.name, "dgemm_kernel");
+  EXPECT_EQ(a.report.errors(), 0u) << a.report.to_string(a.kernel.insts);
+  EXPECT_EQ(gemm.to_string(),
+            "gemm isa=FMA3 strategy=vdup layout=col-major " +
+                gemm.params.to_string());
+
+  frontend::SmallGemmSpec spec;
+  spec.m = spec.n = spec.k = 8;
+  spec.epilogue.relu = true;
+  KernelConfig small{default_small_gemm_options(spec, Isa::kAvx),
+                     KernelKind::kGemm, spec};
+  a = generate_and_analyze(small, /*semantics=*/true);
+  EXPECT_EQ(a.report.errors(), 0u) << a.report.to_string(a.kernel.insts);
+  EXPECT_EQ(small.to_string().rfind("gemm small=" + spec.to_string(), 0), 0u)
+      << small.to_string();
 }
 
 TEST(Augem, KernelSetBuildsAndRuns) {

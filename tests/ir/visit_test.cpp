@@ -99,25 +99,5 @@ TEST(Visit, RewriteHandlesPrefetchAndBounds) {
   EXPECT_EQ(as<ForStmt>(*r[1])->upper().to_string(), "(16 + 8)");
 }
 
-TEST(Visit, MentionsVar) {
-  StmtList l = sample_nest();
-  EXPECT_TRUE(mentions_var(l, "res"));
-  EXPECT_TRUE(mentions_var(l, "A"));   // as array base
-  EXPECT_TRUE(mentions_var(l, "kc"));  // in loop bound
-  EXPECT_FALSE(mentions_var(l, "zz"));
-}
-
-TEST(Visit, MutableWalkCanRetag) {
-  StmtList l = sample_nest();
-  for_each_stmt_mutable(l, [](Stmt& s) {
-    if (s.kind() == StmtKind::kAssign) s.set_template_tag("x", 0);
-  });
-  int tagged = 0;
-  for_each_stmt(l, [&](const Stmt& s) {
-    if (!s.template_tag().empty()) ++tagged;
-  });
-  EXPECT_EQ(tagged, 2);
-}
-
 }  // namespace
 }  // namespace augem::ir

@@ -273,7 +273,7 @@ TEST_F(SharedCacheTest, RecordTheGeneratorRejectsResolvesAsMiss) {
   cfg.tune_on_miss = false;
   for (const TunedVariant& bad : {odd_tile, shuf}) {
     SCOPED_TRACE(bad.params.to_string());
-    ASSERT_THROW(build_variant(key, bad), Error);
+    ASSERT_THROW(build_variant(key, bad), Refusal);
     TuningDatabase(dir_).store(key, bad);
 
     KernelRuntime rt(cfg);
@@ -288,6 +288,35 @@ TEST_F(SharedCacheTest, RecordTheGeneratorRejectsResolvesAsMiss) {
     EXPECT_TRUE(now.artifact.has_value());
     EXPECT_NO_THROW(build_variant(key, now));
   }
+}
+
+TEST_F(SharedCacheTest, RetuneReplacesARecordTheGeneratorRefuses) {
+  // A stored 3×7 GEMM tile the register allocator refuses, without an
+  // artifact: the incumbent cannot be served, so retune publishes the
+  // climb's winner without the A/B gate.
+  const KernelKey key =
+      host_kernel_key(KernelKind::kGemm, classify_gemm_shape(kM, kN, kK));
+  TunedVariant odd_tile;
+  odd_tile.params.mr = 3;
+  odd_tile.params.nr = 7;
+  ASSERT_THROW(build_variant(key, odd_tile), Refusal);
+  TuningDatabase db(dir_);
+  db.store(key, odd_tile);
+
+  ASSERT_EQ(retune(db, key, tuning::kQuickTuneWorkload,
+                   tuning::trial_runner(tuning::kQuickTuneWorkload)),
+            RetuneOutcome::kPromoted);
+  TunedVariant now;
+  ASSERT_TRUE(db.lookup(key, now));
+  EXPECT_NE(now.params.to_string(), odd_tile.params.to_string());
+  ASSERT_TRUE(now.artifact.has_value());
+  EXPECT_NO_THROW(build_variant(key, now));
+
+  // A later process maps the published artifact instead of building.
+  KernelRuntime later(config());
+  expect_gemm_matches_reference(later);
+  EXPECT_EQ(later.counters().builds, 0u);
+  EXPECT_EQ(later.counters().artifact_loads, 1u);
 }
 
 TEST_F(SharedCacheTest, LegacyAutoStrategyRecordMapsItsArtifact) {

@@ -201,17 +201,14 @@ TEST(Search, MeasuredWinnerWithinPooledCiOfExhaustive) {
 }
 
 TEST(Search, InfeasibleReasonClassification) {
-  EXPECT_EQ(classify_infeasible("regalloc.cpp:53: check failed: ... — out of "
-                                "vector registers (affinity 'acc')"),
+  // The refusal's stage decides the reason, never its message; integer
+  // scratch exhaustion counts as register allocation.
+  EXPECT_EQ(infeasible_reason(Refusal::Stage::kPlanner),
+            InfeasibleReason::kPlannerRejected);
+  EXPECT_EQ(infeasible_reason(Refusal::Stage::kVectorRegisters),
             InfeasibleReason::kRegallocExhausted);
-  EXPECT_EQ(classify_infeasible("plan.cpp:284: vector register budget "
-                                "exceeded: 14 persistent registers"),
-            InfeasibleReason::kPlannerRejected);
-  EXPECT_EQ(classify_infeasible("plan.cpp:117: Shuf strategy requires an nxn "
-                                "tile"),
-            InfeasibleReason::kPlannerRejected);
-  EXPECT_EQ(classify_infeasible("as: unknown mnemonic"),
-            InfeasibleReason::kOther);
+  EXPECT_EQ(infeasible_reason(Refusal::Stage::kIntegerScratch),
+            InfeasibleReason::kRegallocExhausted);
 
   // Round-trip of every reason through its wire name.
   for (InfeasibleReason r :

@@ -1,10 +1,11 @@
 // mirlint — static analyzer for AUGEM-generated machine kernels.
 //
-// Generates a kernel exactly as augemc would, then runs the full analysis
-// pipeline (analysis/analyzer.hpp) on its machine IR: CFG construction,
-// structural and encoding checks, flag liveness, path-sensitive definite
-// assignment, dead-store and register-queue-reuse detection, and symbolic
-// memory-bounds proofs against the kernel's calling contract.
+// Generates a kernel exactly as augemc would and runs the full analysis
+// pipeline (analysis/analyzer.hpp) on its machine IR through
+// augem::generate_and_analyze: CFG construction, structural and encoding
+// checks, flag liveness, path-sensitive definite assignment, dead-store and
+// register-queue-reuse detection, and symbolic memory-bounds proofs against
+// the kernel's calling contract.
 //
 //   mirlint [options]
 //     --kernel gemm|gemv|axpy|dot|scal   kernel to analyze (default gemm)
@@ -22,7 +23,6 @@
 //                                        comma-separated subset)
 //     --prefetch N | --no-prefetch       software prefetching
 //     --no-schedule                      disable instruction scheduling
-//     --no-bounds                        skip the symbolic bounds pass
 //     --semantics                        also run translation validation
 //                                        (single-case mode; the sweep always
 //                                        runs it unless --no-semantics)
@@ -48,11 +48,12 @@
 //
 // Exit status: 0 when no error-severity findings, 1 otherwise (warnings
 // alone — dead stores, queue-reuse hazards, long prefetches — exit 0).
+// The sweep counts a configuration the generator refuses (augem::Refusal)
+// as rejected; any other generation error fails that configuration.
 // The artifact schema is documented in docs/static-analysis.md.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -62,13 +63,11 @@
 #include <vector>
 
 #include "analysis/analyzer.hpp"
-#include "asmgen/codegen.hpp"
 #include "augem/augem.hpp"
 #include "frontend/kernels.hpp"
 #include "opt/plan.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
-#include "transform/ckernel.hpp"
 #include "tuning/search.hpp"
 
 namespace {
@@ -89,7 +88,6 @@ usage: mirlint [--kernel K] [--isa I] [config options] [--text] [--sweep]
   --epi LIST      fused epilogue for --small: comma-separated scale,bias,relu
   --prefetch DIST | --no-prefetch
   --no-schedule   disable instruction scheduling
-  --no-bounds     skip the symbolic memory-bounds pass
   --semantics     also run translation validation (default in --sweep)
   --no-semantics  skip translation validation
   --text          human-readable findings instead of JSON
@@ -103,90 +101,26 @@ exit: 0 = no errors (warnings allowed), 1 = error findings or bad usage
   std::exit(code);
 }
 
-struct Case {
-  KernelKind op = KernelKind::kGemm;
-  BLayout layout = BLayout::kRowPanel;
-  opt::OptConfig config;
-  transform::CGenParams params;
-  /// Set for the batched small-GEMM path: the shape-specialized fully
-  /// unrolled kernel with these extents + fused epilogue is analyzed
-  /// instead of the generic blocked kernel.
-  std::optional<frontend::SmallGemmSpec> small;
-
-  std::string to_string() const {
-    std::string s = frontend::kernel_kind_name(op);
-    if (small) {
-      s += " small=";
-      s += small->to_string();
-    }
-    s += " [";
-    s += isa_name(config.isa);
-    s += ", ";
-    s += vec_strategy_name(config.strategy);
-    if (op == KernelKind::kGemm && !small) {
-      s += layout == BLayout::kRowPanel ? ", rowpanel" : ", colmajor";
-    }
-    s += ", ";
-    s += params.to_string();
-    s += "]";
-    return s;
-  }
-};
-
-/// The reference-semantics spec the translation validator should prove a
-/// case against.
-analysis::SemanticsSpec semantics_spec_for(const Case& c) {
-  analysis::SemanticsSpec s;
-  s.kind = c.op;
-  s.layout = c.layout;
-  s.small = c.small;
-  return s;
-}
-
-/// Generates and analyzes one configuration. Returns the number of
-/// error-severity findings (a generation-time verifier throw counts as one).
-int analyze_case(const Case& c, bool with_bounds, bool with_semantics,
-                 bool as_text, bool print) {
-  asmgen::GeneratedKernel gen = [&] {
-    // Generate WITHOUT a contract: the analyzer below is the one reporting,
-    // so generation-time bounds failures don't abort before we can print.
-    ir::Kernel k = c.small
-                       ? transform::generate_small_gemm_c(*c.small, c.params)
-                       : transform::generate_optimized_c(c.op, c.layout,
-                                                         c.params);
-    return asmgen::generate_assembly(std::move(k), c.config);
-  }();
-
-  int f64_params = 0;
-  for (const ir::Param& p : gen.source.params())
-    if (p.type == ir::ScalarType::kF64) ++f64_params;
-
-  const analysis::KernelContract contract =
-      c.small ? analysis::contract_for_small_gemm(*c.small, gen.source)
-              : analysis::contract_for(c.op, c.layout, c.params, gen.source);
-  const analysis::SemanticsSpec sspec = semantics_spec_for(c);
-  analysis::AnalyzeOptions aopts;
-  aopts.num_f64_params = f64_params;
-  if (with_bounds) aopts.contract = &contract;
-  if (with_bounds && with_semantics) aopts.semantics = &sspec;
-
-  const analysis::AnalysisReport report = analysis::analyze(gen.insts, aopts);
-  if (print) {
-    if (as_text)
-      std::fputs(report.to_string(gen.insts).c_str(), stdout);
-    else
-      std::fputs(report.to_json(gen.insts).c_str(), stdout);
-  }
-  return static_cast<int>(report.errors());
+/// Generates and analyzes one configuration, prints its findings and
+/// returns the number of error-severity findings.
+int analyze_case(const KernelConfig& c, bool with_semantics, bool as_text) {
+  const AnalyzedKernel a = generate_and_analyze(c, with_semantics);
+  const opt::MInstList& insts = a.kernel.insts;
+  std::fputs((as_text ? a.report.to_string(insts) : a.report.to_json(insts))
+                 .c_str(),
+             stdout);
+  return static_cast<int>(a.report.errors());
 }
 
 /// Aggregated sweep results, split into the two gated sections: the
 /// semantics section holds every `semantics-*` finding (the translation
 /// validator), the bounds section everything else (bounds proofs plus the
-/// structural/flags/assignment passes and generation-time verifier throws).
+/// structural/flags/assignment passes and generation errors other than a
+/// refusal).
 struct SweepStats {
   int analyzed = 0;
   int rejected = 0;
+  std::map<Refusal::Stage, int> rejected_by_stage;
   int warnings = 0;
   int errors_bounds = 0;
   int errors_semantics = 0;
@@ -267,7 +201,7 @@ int check_artifact(const std::string& path, const std::string& section) {
   return 1;
 }
 
-int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
+int run_sweep(bool with_semantics, int search_sample,
               const std::string& artifact_path) {
   SweepStats stats;
   constexpr int kProgressEvery = 128;
@@ -276,39 +210,19 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
   // artifact section instead of bounds/semantics: sampled points gate the
   // tuner's reachable space, the fixed grid gates the generator itself.
   bool sampled = false;
-  auto visit = [&](const Case& c) {
+  auto visit = [&](const KernelConfig& c) {
     if (++visited % kProgressEvery == 0)
       std::fprintf(stderr, "mirlint sweep: ... %d configs visited (%d "
                            "analyzed, %d rejected)\n",
                    visited, stats.analyzed, stats.rejected);
+    int err_bounds = 0, err_sem = 0;
     try {
-      ir::Kernel k =
-          c.small ? transform::generate_small_gemm_c(*c.small, c.params)
-                  : transform::generate_optimized_c(c.op, c.layout, c.params);
-      asmgen::GeneratedKernel gen =
-          asmgen::generate_assembly(std::move(k), c.config);
-
-      int f64_params = 0;
-      for (const ir::Param& p : gen.source.params())
-        if (p.type == ir::ScalarType::kF64) ++f64_params;
-      const analysis::KernelContract contract =
-          c.small
-              ? analysis::contract_for_small_gemm(*c.small, gen.source)
-              : analysis::contract_for(c.op, c.layout, c.params, gen.source);
-      const analysis::SemanticsSpec sspec = semantics_spec_for(c);
-      analysis::AnalyzeOptions aopts;
-      aopts.num_f64_params = f64_params;
-      if (with_bounds) aopts.contract = &contract;
-      if (with_bounds && with_semantics) aopts.semantics = &sspec;
-
-      const analysis::AnalysisReport report =
-          analysis::analyze(gen.insts, aopts);
+      const AnalyzedKernel a = generate_and_analyze(c, with_semantics);
       ++stats.analyzed;
       if (sampled) ++stats.sampled;
       stats.warnings +=
-          static_cast<int>(report.count(analysis::Severity::kWarning));
-      int err_bounds = 0, err_sem = 0;
-      for (const analysis::Finding& f : report.findings) {
+          static_cast<int>(a.report.count(analysis::Severity::kWarning));
+      for (const analysis::Finding& f : a.report.findings) {
         if (f.severity == analysis::Severity::kNote) continue;
         ++stats.by_kind[f.kind];
         if (f.severity != analysis::Severity::kError) continue;
@@ -319,43 +233,36 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
       }
       if (err_bounds + err_sem > 0) {
         std::printf("FAIL %s\n", c.to_string().c_str());
-        for (const analysis::Finding& f : report.findings)
+        for (const analysis::Finding& f : a.report.findings)
           if (f.severity == analysis::Severity::kError)
             std::printf("  [%zu] %s: %s\n", f.index, f.kind.c_str(),
                         f.message.c_str());
       }
-      if (sampled) {
-        if (err_bounds + err_sem > 0) {
-          stats.errors_search += err_bounds + err_sem;
-          stats.failed_search.push_back(c.to_string());
-        }
-      } else {
-        if (err_bounds > 0) {
-          stats.errors_bounds += err_bounds;
-          stats.failed_bounds.push_back(c.to_string());
-        }
-        if (err_sem > 0) {
-          stats.errors_semantics += err_sem;
-          stats.failed_semantics.push_back(c.to_string());
-        }
-      }
+    } catch (const Refusal& r) {
+      // The generator refuses an out-of-domain configuration.
+      ++stats.rejected;
+      ++stats.rejected_by_stage[r.stage()];
+      return;
     } catch (const Error& e) {
-      // Planner / register-allocator rejections are expected out-of-domain
-      // outcomes; a verification failure inside generation is a real error.
-      if (std::strstr(e.what(), "machine-code verification failed") !=
-          nullptr) {
-        if (sampled) {
-          ++stats.errors_search;
-          stats.failed_search.push_back(c.to_string());
-        } else {
-          ++stats.errors_bounds;
-          stats.failed_bounds.push_back(c.to_string());
-        }
-        ++stats.by_kind["generation-verify"];
-        std::printf("FAIL %s\n  generation-time verification: %s\n",
-                    c.to_string().c_str(), e.what());
-      } else {
-        ++stats.rejected;
+      // Any other generation error is a generator defect.
+      ++err_bounds;
+      ++stats.by_kind["generation-error"];
+      std::printf("FAIL %s\n  generation: %s\n", c.to_string().c_str(),
+                  e.what());
+    }
+    if (sampled) {
+      if (err_bounds + err_sem > 0) {
+        stats.errors_search += err_bounds + err_sem;
+        stats.failed_search.push_back(c.to_string());
+      }
+    } else {
+      if (err_bounds > 0) {
+        stats.errors_bounds += err_bounds;
+        stats.failed_bounds.push_back(c.to_string());
+      }
+      if (err_sem > 0) {
+        stats.errors_semantics += err_sem;
+        stats.failed_semantics.push_back(c.to_string());
       }
     }
   };
@@ -379,8 +286,7 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
                                      std::pair{w, 2 * w}}) {
           for (int ku : {1, 2, 4}) {
             for (bool pf : {false, true}) {
-              Case c;
-              c.op = KernelKind::kGemm;
+              KernelConfig c;
               c.layout = layout;
               c.config.isa = isa;
               c.config.strategy = strat;
@@ -399,8 +305,8 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
                             KernelKind::kDot, KernelKind::kScal}) {
         for (int unroll : {1, 2, w, 2 * w, 4 * w}) {
           for (bool pf : {false, true}) {
-            Case c;
-            c.op = op;
+            KernelConfig c;
+            c.kind = op;
             c.config.isa = isa;
             c.config.strategy = strat;
             c.params.unroll = unroll;
@@ -437,8 +343,7 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
           spec.n = sh.n;
           spec.k = sh.k;
           spec.epilogue = e;
-          Case c;
-          c.op = KernelKind::kGemm;
+          KernelConfig c;
           c.small = spec;
           c.config.isa = isa;
           c.params = small_gemm_params(spec, isa);
@@ -452,7 +357,7 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
   // climb can reach any of them; every one must bounds-prove even though
   // the fixed grid above never visits it.
   if (search_sample > 0) {
-    std::vector<Case> cells;
+    std::vector<KernelConfig> cells;
     for (Isa isa : isas)
       for (KernelKind op : {KernelKind::kGemm, KernelKind::kGemv,
                             KernelKind::kAxpy, KernelKind::kDot,
@@ -461,11 +366,11 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
                                               ? tuning::SearchSpace::gemm(isa)
                                               : tuning::SearchSpace::level1();
         for (const tuning::Point& p : space.all_points()) {
-          Case c;
-          c.op = op;
+          // The default layout and strategy: the ones the tuner generates
+          // every point with.
+          KernelConfig c;
+          c.kind = op;
           c.params = space.materialize(p);
-          // The layout and strategy the tuner generates every point with.
-          c.layout = BLayout::kColMajor;
           c.config.isa = isa;
           cells.push_back(c);
         }
@@ -487,24 +392,26 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
   failed.insert(stats.failed_search.begin(), stats.failed_search.end());
   const int errors =
       stats.errors_bounds + stats.errors_semantics + stats.errors_search;
+  std::map<Refusal::Stage, int>& refused = stats.rejected_by_stage;
   std::printf(
-      "mirlint sweep: %d configs analyzed, %d rejected (out of domain), "
-      "%d warning(s), %d error finding(s) in %d config(s)\n",
-      stats.analyzed, stats.rejected, stats.warnings, errors,
+      "mirlint sweep: %d configs analyzed, %d rejected (out of domain: %d "
+      "planner, %d vector registers, %d integer scratch), %d warning(s), "
+      "%d error finding(s) in %d config(s)\n",
+      stats.analyzed, stats.rejected, refused[Refusal::Stage::kPlanner],
+      refused[Refusal::Stage::kVectorRegisters],
+      refused[Refusal::Stage::kIntegerScratch], stats.warnings, errors,
       static_cast<int>(failed.size()));
 
   // Per-pass breakdown: every error/warning kind seen, grouped by section.
-  if (with_bounds) {
-    std::printf("  section     errors  failing configs\n");
-    std::printf("  bounds      %6d  %d\n", stats.errors_bounds,
-                static_cast<int>(stats.failed_bounds.size()));
-    if (with_semantics)
-      std::printf("  semantics   %6d  %d\n", stats.errors_semantics,
-                  static_cast<int>(stats.failed_semantics.size()));
-    if (search_sample > 0)
-      std::printf("  search      %6d  %d\n", stats.errors_search,
-                  static_cast<int>(stats.failed_search.size()));
-  }
+  std::printf("  section     errors  failing configs\n");
+  std::printf("  bounds      %6d  %d\n", stats.errors_bounds,
+              static_cast<int>(stats.failed_bounds.size()));
+  if (with_semantics)
+    std::printf("  semantics   %6d  %d\n", stats.errors_semantics,
+                static_cast<int>(stats.failed_semantics.size()));
+  if (search_sample > 0)
+    std::printf("  search      %6d  %d\n", stats.errors_search,
+                static_cast<int>(stats.failed_search.size()));
   if (!stats.by_kind.empty()) {
     std::printf("  findings by kind:\n");
     for (const auto& [kind, n] : stats.by_kind)
@@ -518,7 +425,6 @@ int run_sweep(bool with_bounds, bool with_semantics, int search_sample,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool with_bounds = true;
   bool with_semantics = false;  // single-case default; --sweep defaults on
   bool semantics_set = false;
   bool as_text = false;
@@ -556,12 +462,7 @@ int main(int argc, char** argv) {
       isa = *parsed;
     }
   }
-  const GenerateOptions served = default_options(kind, isa);
-  Case c;
-  c.op = kind;
-  c.layout = served.layout;
-  c.config = served.config;
-  c.params = served.params;
+  KernelConfig c{default_options(kind, isa), kind, std::nullopt};
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -617,8 +518,6 @@ int main(int argc, char** argv) {
       c.params.prefetch.enabled = false;
     } else if (arg == "--no-schedule") {
       c.config.schedule = false;
-    } else if (arg == "--no-bounds") {
-      with_bounds = false;
     } else if (arg == "--semantics") {
       with_semantics = true;
       semantics_set = true;
@@ -650,7 +549,7 @@ int main(int argc, char** argv) {
 
   if (c.small) {
     c.small->epilogue = epi;
-    c.op = KernelKind::kGemm;
+    c.kind = KernelKind::kGemm;
     // Mirror the dispatcher's default unless explicitly overridden: the
     // register tile follows from the extents (and the scale epilogue's
     // register pressure).
@@ -674,13 +573,8 @@ int main(int argc, char** argv) {
   if (sweep && !semantics_set) with_semantics = true;
 
   try {
-    if (sweep)
-      return run_sweep(with_bounds, with_semantics, search_sample,
-                       artifact_path);
-    return analyze_case(c, with_bounds, with_semantics, as_text,
-                        /*print=*/true) > 0
-               ? 1
-               : 0;
+    if (sweep) return run_sweep(with_semantics, search_sample, artifact_path);
+    return analyze_case(c, with_semantics, as_text) > 0 ? 1 : 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "mirlint: %s\n", e.what());
     return 1;
