@@ -19,7 +19,8 @@ struct GemmKernelBench {
   long kc = 256;
 
   /// MFLOPS of the GEMM kernel `options` generates, also recorded as a
-  /// trajectory row named `series`; 0 if infeasible.
+  /// trajectory row named `series`; 0 if the generator refuses it
+  /// (augem::Refusal). Any other error is a defect and propagates.
   double run(const GenerateOptions& options, SuiteReporter& reporter,
              const std::string& series) const {
     try {
@@ -29,7 +30,7 @@ struct GemmKernelBench {
           series, tuning::KernelProbe(frontend::KernelKind::kGemm,
                                       mod.raw_symbol(gen.name), {mc, nc, kc},
                                       options.params.mr, options.params.nr));
-    } catch (const Error&) {
+    } catch (const Refusal&) {
       return 0.0;  // infeasible configuration (register budget, Shuf shape)
     }
   }

@@ -10,13 +10,14 @@
 //   4. a frequency probe before and after the samples flags measurements
 //      taken while the clock was ramping or thermal-throttling.
 //
-// Every bench/ target, tools/bench_gate, `augemc --run`, `augem_tunedb
-// retune` and the tuner's trials measure through this class (generated
-// kernels bound by tuning::KernelProbe), so a GFLOPS number anywhere in
-// the repository carries the same semantics: *median of post-warmup
-// repetitions with a known confidence interval*. The tuner runs it with
-// no warm-up (docs/tuning.md, "Measuring a trial"). (docs/benchmarking.md
-// is the methodology reference.)
+// Every bench/ target, tools/bench_gate, `augemc --run` and the tuner's
+// trials measure through this class (generated kernels bound by
+// tuning::KernelProbe), so a GFLOPS number anywhere in the repository
+// carries the same semantics: *median of post-warmup repetitions with a
+// known confidence interval*. The tuner runs it with no warm-up
+// (docs/tuning.md, "Measuring a trial"). Whether one closure is faster
+// than another is perf::compare's question (compare.hpp), not two runs of
+// this class. (docs/benchmarking.md is the methodology reference.)
 
 #include <functional>
 #include <vector>

@@ -1,9 +1,10 @@
 #include "runtime/retune.hpp"
 
-#include "perf/report.hpp"
+#include "perf/compare.hpp"
 #include "runtime/artifact.hpp"
 #include "runtime/dispatch.hpp"
 #include "support/error.hpp"
+#include "support/flops.hpp"
 
 namespace augem::runtime {
 
@@ -19,17 +20,12 @@ bool same_configuration(const TunedVariant& a, const TunedVariant& b) {
          a.strategy == b.strategy;
 }
 
-/// Times `kernel` on the tuning workload's probe with the BenchRunner, so
-/// the promotion gate's numbers carry the same semantics (median of
-/// post-warmup reps with a CI) as every other GFLOPS figure in the
-/// repository.
-perf::Measurement measure(const CachedKernel& kernel,
-                          const tuning::TuneWorkload& w,
-                          const perf::RunnerOptions& ropts) {
-  const tuning::KernelProbe probe(kernel.key.kind, kernel.entry,
-                                  w.extents(kernel.key.kind), kernel.mr,
-                                  kernel.nr);
-  return probe.measure(perf::BenchRunner(ropts));
+/// `kernel` bound to the tuning workload's operands.
+tuning::KernelProbe probe_of(const CachedKernel& kernel,
+                             const tuning::TuneWorkload& w) {
+  return tuning::KernelProbe(kernel.key.kind, kernel.entry,
+                             w.extents(kernel.key.kind), kernel.mr,
+                             kernel.nr);
 }
 
 }  // namespace
@@ -46,7 +42,6 @@ const char* retune_outcome_name(RetuneOutcome o) {
 
 RetuneOutcome retune(TuningDatabase& db, const KernelKey& key,
                      const tuning::TuneWorkload& workload,
-                     const perf::RunnerOptions& runner,
                      const std::optional<TunedVariant>& candidate) {
   TunedVariant incumbent;
   if (!db.lookup(key, incumbent)) return RetuneOutcome::kError;
@@ -54,8 +49,6 @@ RetuneOutcome retune(TuningDatabase& db, const KernelKey& key,
 
   TunedVariant cand;
   std::shared_ptr<CachedKernel> cand_kernel;
-  std::optional<perf::Measurement> inc_m;
-  perf::Measurement cand_m;
   try {
     cand = candidate ? *candidate
                      : TunedVariant::from_tune_result(
@@ -64,35 +57,27 @@ RetuneOutcome retune(TuningDatabase& db, const KernelKey& key,
                                : tuning::tune_level1(key.kind, key.isa,
                                                      workload));
     if (same_configuration(cand, incumbent)) return RetuneOutcome::kUnchanged;
+    cand_kernel = build_variant(key, cand);
+    std::shared_ptr<CachedKernel> inc_kernel;
     try {
-      inc_m = measure(*build_variant(key, incumbent), workload, runner);
+      inc_kernel = build_variant(key, incumbent);
     } catch (const Refusal&) {
       // The generator refuses the stored incumbent, so it cannot be served
       // and there is nothing to gate the candidate against.
     }
-    cand_kernel = build_variant(key, cand);
-    cand_m = measure(*cand_kernel, workload, runner);
+    if (inc_kernel) {
+      const tuning::KernelProbe inc_probe = probe_of(*inc_kernel, workload);
+      const tuning::KernelProbe cand_probe = probe_of(*cand_kernel, workload);
+      const perf::Comparison gate =
+          perf::compare(inc_probe.call(), cand_probe.call());
+      if (gate.verdict != perf::Verdict::kFaster)
+        return RetuneOutcome::kRejected;
+      cand.mflops = mflops(cand_probe.flops(), gate.b_s);
+    }
   } catch (const Error&) {
     return RetuneOutcome::kError;
   }
 
-  if (inc_m) {
-    perf::BenchReport base = perf::make_host_report("promotion");
-    perf::BenchReport cur = base;
-    base.rows.push_back(
-        perf::BenchRow::from_measurement(*inc_m, key.to_string()));
-    cur.rows.push_back(
-        perf::BenchRow::from_measurement(cand_m, key.to_string()));
-    perf::DiffOptions dopts;
-    dopts.threshold = kPromoteThreshold;
-    const perf::DiffResult diff = perf::diff_reports(base, cur, dopts);
-    if (!diff.comparable() || diff.rows.size() != 1)
-      return RetuneOutcome::kError;
-    if (diff.rows[0].verdict != perf::RowVerdict::kImproved)
-      return RetuneOutcome::kRejected;
-  }
-
-  cand.mflops = cand_m.mflops();
   const KeyLock lock(db, key);
   publish_and_store(db, key, cand, *cand_kernel);
   return RetuneOutcome::kPromoted;

@@ -1,10 +1,11 @@
 #pragma once
 // KernelProbe: how this repository binds a generated kernel to operands
-// for timing. The tuner's trials, `augem_tunedb retune`, `augemc --run`,
-// the bench_gate suites and the GEMM ablations all time a kernel as a probe
-// plus perf::BenchRunner, so one kernel's MFLOPS mean the same workload
-// wherever they are quoted; each caller picks only the extents and the
-// runner options (docs/tuning.md, "Measuring a trial").
+// for timing. The tuner's trials, `augemc --run`, the bench_gate suites and
+// the GEMM ablations time a kernel as a probe plus perf::BenchRunner, and
+// the climb and `augem_tunedb retune` compare two probes' calls with
+// perf::compare, so one kernel's MFLOPS mean the same workload wherever
+// they are quoted; each caller picks only the extents and how to time
+// (docs/tuning.md, "Measuring a trial").
 
 #include <cstdint>
 #include <functional>

@@ -8,8 +8,9 @@
 // describes the budgeted steepest-ascent climb that replaces the
 // exhaustive sweep: it starts at the served default's cell
 // (transform::default_params), neighbors are single-axis steps, and a move
-// must clear the pooled confidence interval of the two measurements
-// (src/perf/stats.hpp). The climb stops where no neighbor does.
+// needs the verdict `faster` from perf::compare (src/perf/compare.hpp) on
+// the two kernels timed interleaved. The climb stops, and serves, where
+// no neighbor gets it.
 
 #include <string>
 #include <vector>

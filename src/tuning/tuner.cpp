@@ -1,7 +1,7 @@
 #include "tuning/tuner.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -9,6 +9,7 @@
 #include "augem/augem.hpp"
 #include "jit/jit.hpp"
 #include "perf/clock.hpp"
+#include "perf/compare.hpp"
 #include "perf/stats.hpp"
 #include "support/error.hpp"
 #include "support/flops.hpp"
@@ -65,33 +66,45 @@ constexpr frontend::BLayout kServedLayout = GenerateOptions{}.layout;
 constexpr perf::RunnerOptions kTrialSampling = {
     .warmup_min_reps = 0, .warmup_max_reps = 0, .check_frequency = false};
 
-/// Builds + JITs one candidate and times it with the trial runner,
-/// summarizing its per-call MFLOPS. Throws augem::Refusal when the
-/// generator refuses the point.
-perf::Summary time_candidate(KernelKind kind, const CGenParams& params,
-                             const OptConfig& config, const TuneWorkload& w) {
-  ir::Kernel opt_c =
-      transform::generate_optimized_c(kind, kServedLayout, params);
-  asmgen::GeneratedKernel gen =
-      asmgen::generate_assembly(std::move(opt_c), config);
-  const jit::CompiledModule mod = jit::assemble(gen.asm_text);
-  const KernelProbe probe(kind, mod.raw_symbol(gen.name), w.extents(kind),
-                          params.mr, params.nr);
-  const perf::Measurement m = probe.measure(perf::BenchRunner(trial_runner(w)));
-  std::vector<double> samples;
-  for (double s : m.samples_s) samples.push_back(mflops(probe.flops(), s));
-  return perf::summarize(samples);
+/// A generated kernel, loaded. The climb keeps its current cell's and the
+/// step's best neighbor's to compare them; a probe binds it only while it
+/// is timed, so at most two probes exist at once.
+struct Built {
+  jit::CompiledModule module;
+  void* entry = nullptr;
+  int mr = 0;
+  int nr = 0;
+
+  KernelProbe probe(KernelKind kind, const TuneWorkload& w) const {
+    return KernelProbe(kind, entry, w.extents(kind), mr, nr);
+  }
+};
+
+/// Generates one candidate's assembly. Throws augem::Refusal when the
+/// generator refuses the point. Synthetic mode stops here, so its
+/// determinism tests exercise real pruning with model scores.
+asmgen::GeneratedKernel generate(KernelKind kind, const CGenParams& params,
+                                 const OptConfig& config) {
+  return asmgen::generate_assembly(
+      transform::generate_optimized_c(kind, kServedLayout, params), config);
 }
 
-/// Checks feasibility without timing: the point must survive the full
-/// generation pipeline (planner + regalloc + codegen). Used by synthetic
-/// mode so determinism tests exercise real pruning with model scores.
-void check_feasible(KernelKind kind, const CGenParams& params,
-                    const OptConfig& config) {
-  ir::Kernel opt_c =
-      transform::generate_optimized_c(kind, kServedLayout, params);
-  (void)asmgen::generate_assembly(std::move(opt_c), config);
+/// Generates, assembles and loads one candidate.
+Built build(KernelKind kind, const CGenParams& params,
+            const OptConfig& config) {
+  const asmgen::GeneratedKernel gen = generate(kind, params, config);
+  jit::CompiledModule module = jit::assemble(gen.asm_text);
+  void* entry = module.raw_symbol(gen.name);
+  return Built{std::move(module), entry, params.mr, params.nr};
 }
+
+/// One measured cell: its trial's index and, once timed, its built kernel,
+/// which the climb keeps while it may compare it.
+struct Cell {
+  Point p;
+  std::size_t idx = 0;
+  std::optional<Built> built;
+};
 
 /// The search driver shared by hill-climbing and exhaustive mode: owns the
 /// trial log, the set of measured cells, and the trial budget.
@@ -120,19 +133,27 @@ class SearchRun {
     return seen_.count(space_.key(p)) > 0;
   }
 
-  /// Measures the unmeasured cell `p`, returning its trial's index.
-  std::size_t measure(const Point& p) {
+  /// Measures the unmeasured cell `p` and logs its trial.
+  Cell measure(const Point& p) {
+    Cell cell{p, result_.trials.size(), {}};
     Trial t;
     t.params = space_.materialize(p);
     OptConfig config;
     config.isa = result_.isa;
     try {
       if (opts_.synthetic) {
-        check_feasible(kind_, t.params, config);
+        (void)generate(kind_, t.params, config);
         t.mflops = space_.synthetic_score(p);
         t.ci_half = 0.0;
       } else {
-        const perf::Summary s = time_candidate(kind_, t.params, config, w_);
+        cell.built = build(kind_, t.params, config);
+        const KernelProbe probe = cell.built->probe(kind_, w_);
+        const perf::Measurement m =
+            probe.measure(perf::BenchRunner(trial_runner(w_)));
+        std::vector<double> samples;
+        for (double s : m.samples_s)
+          samples.push_back(mflops(probe.flops(), s));
+        const perf::Summary s = perf::summarize(samples);
         t.mflops = s.median;
         t.ci_half = s.ci_half;
       }
@@ -143,25 +164,34 @@ class SearchRun {
     } catch (const Error&) {
       t.reason = InfeasibleReason::kOther;
     }
-    const std::size_t idx = result_.trials.size();
     result_.trials.push_back(std::move(t));
     seen_.insert(space_.key(p));
-    const Trial& logged = result_.trials[idx];
-    if (logged.feasible &&
-        (best_ < 0 || logged.mflops > result_.trials[best_].mflops)) {
-      best_ = static_cast<int>(idx);
-      result_.params = logged.params;
-    }
-    return idx;
+    return cell;
   }
 
   const Trial& trial(std::size_t idx) const { return result_.trials[idx]; }
 
-  TuneResult finish() {
+  /// Whether the climb moves from `here` to `to`, the step's best
+  /// neighbor: on a higher model score in synthetic mode, else only when
+  /// the two kernels, timed interleaved, read `faster` (perf/compare.hpp).
+  /// An infeasible start always moves.
+  bool improves(const Cell& here, const Cell& to) const {
+    if (!trial(here.idx).feasible) return true;
+    if (opts_.synthetic) return trial(to.idx).mflops > trial(here.idx).mflops;
+    const KernelProbe a = here.built->probe(kind_, w_);
+    const KernelProbe b = to.built->probe(kind_, w_);
+    return perf::compare(a.call(), b.call()).verdict ==
+           perf::Verdict::kFaster;
+  }
+
+  /// The result serving trial `served`.
+  TuneResult finish(std::size_t served) {
+    const Trial& t = result_.trials.at(served);
+    AUGEM_CHECK(t.feasible, "no feasible configuration found");
+    result_.params = t.params;
+    result_.mflops = t.mflops;
     result_.search.trials_run = static_cast<int>(result_.trials.size());
     result_.search.elapsed_seconds = timer_.elapsed_s();
-    AUGEM_CHECK(best_ >= 0, "no feasible configuration found");
-    result_.mflops = result_.trials[static_cast<std::size_t>(best_)].mflops;
     return std::move(result_);
   }
 
@@ -172,7 +202,6 @@ class SearchRun {
   const SearchOptions& opts_;
   TuneResult result_;
   std::set<std::string> seen_;  ///< SearchSpace::key of every measured cell
-  int best_ = -1;
   perf::Stopwatch timer_;
 };
 
@@ -196,46 +225,37 @@ TuneResult tune_space(KernelKind kind, Isa isa, const SearchSpace& space,
                       const TuneWorkload& w, const SearchOptions& opts) {
   SearchRun run(kind, isa, space, w, opts);
 
+  // The full sweep serves its best trial.
   if (opts.exhaustive) {
+    std::size_t best = 0;
     for (const Point& p : space.all_points()) {
       if (run.out_of_budget()) break;
-      run.measure(p);
+      const std::size_t idx = run.measure(p).idx;
+      if (run.trial(idx).mflops > run.trial(best).mflops) best = idx;
     }
-    return run.finish();
+    return run.finish(best);
   }
 
   // Steepest ascent from the served default's cell: measure the unmeasured
   // single-axis neighbors of the current cell in axis order, and move to
-  // the best one only when it clears the pooled 95% interval of the two
-  // medians. The climb stops where no neighbor does, or when the budget
-  // is spent; the winner is the best trial measured on the way.
-  Point cur = space.cell(transform::default_params(kind, isa));
-  std::size_t cur_idx = run.measure(cur);
+  // the best-measured one only when it improves on the current cell. The
+  // climb stops where no neighbor does, or when the budget is spent, and
+  // serves the cell where it stops.
+  Cell here = run.measure(space.cell(transform::default_params(kind, isa)));
   while (!run.out_of_budget()) {
-    int step_best = -1;
-    Point step_best_p;
-    for (const Point& q : space.neighbors(cur)) {
+    std::optional<Cell> best;
+    for (const Point& q : space.neighbors(here.p)) {
       if (run.measured(q)) continue;
       if (run.out_of_budget()) break;
-      const std::size_t idx = run.measure(q);
-      const Trial& t = run.trial(idx);
-      if (!t.feasible) continue;
-      if (step_best < 0 ||
-          t.mflops > run.trial(static_cast<std::size_t>(step_best)).mflops) {
-        step_best = static_cast<int>(idx);
-        step_best_p = q;
-      }
+      Cell c = run.measure(q);
+      if (run.trial(c.idx).feasible &&
+          (!best || run.trial(c.idx).mflops > run.trial(best->idx).mflops))
+        best = std::move(c);
     }
-    if (step_best < 0) break;
-    const Trial& cand = run.trial(static_cast<std::size_t>(step_best));
-    const Trial& here = run.trial(cur_idx);
-    const double pooled = std::sqrt(cand.ci_half * cand.ci_half +
-                                    here.ci_half * here.ci_half);
-    if (here.feasible && cand.mflops - here.mflops <= pooled) break;
-    cur = step_best_p;
-    cur_idx = static_cast<std::size_t>(step_best);
+    if (!best || !run.improves(here, *best)) break;
+    here = std::move(*best);
   }
-  return run.finish();
+  return run.finish(here.idx);
 }
 
 TuneResult tune_gemm(Isa isa, const TuneWorkload& workload,

@@ -7,8 +7,9 @@
 // Where the paper swept the whole candidate grid, the tuner climbs the
 // axis-factored space in tuning/search.hpp (docs/tuning.md): starting from
 // the served default kernel it generates + JITs + times each visited
-// point, moves only when a neighbor's improvement clears the pooled
-// confidence interval of the two measurements, and stops where none does.
+// point, moves to a step's best-measured neighbor only when perf::compare,
+// timing the two kernels interleaved, reads `faster`, and serves the cell
+// where it stops.
 // Configurations the generator refuses (augem::Refusal) are logged as
 // infeasible, with the stage that refused them, and pruned, exactly like
 // ATLAS-style search spaces.
@@ -34,8 +35,10 @@ struct Trial {
   std::string describe() const;
 };
 
-/// Search outcome: the winning configuration plus the full trial log and
-/// the metadata describing how the search ran (algorithm, budget, grid).
+/// Search outcome: the served configuration (where the climb stopped, or
+/// the sweep's best trial) and its trial's score, plus the full trial log
+/// and the metadata describing how the search ran (algorithm, budget,
+/// grid).
 struct TuneResult {
   frontend::KernelKind kind{};
   Isa isa{};

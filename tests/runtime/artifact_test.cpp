@@ -303,8 +303,7 @@ TEST_F(SharedCacheTest, RetuneReplacesARecordTheGeneratorRefuses) {
   TuningDatabase db(dir_);
   db.store(key, odd_tile);
 
-  ASSERT_EQ(retune(db, key, tuning::kQuickTuneWorkload,
-                   tuning::trial_runner(tuning::kQuickTuneWorkload)),
+  ASSERT_EQ(retune(db, key, tuning::kQuickTuneWorkload),
             RetuneOutcome::kPromoted);
   TunedVariant now;
   ASSERT_TRUE(db.lookup(key, now));
@@ -350,17 +349,11 @@ TEST_F(SharedCacheTest, LegacyAutoStrategyRecordMapsItsArtifact) {
 
 // The promotion gate, end to end: a strictly better candidate replaces the
 // stored entry and republishes its artifact, an identical one is a no-op,
-// a strictly worse one is rejected by the noise-aware diff and the
+// a strictly worse one is rejected by the interleaved comparison and the
 // incumbent survives.
 TEST_F(SharedCacheTest, PromotionReplacesServedEntryOnlyWhenDiffSaysImproved) {
   TuningDatabase db(dir_);
   const KernelKey key = host_kernel_key(KernelKind::kGemm, kShape);
-  perf::RunnerOptions runner;
-  runner.min_reps = 1;
-  runner.max_reps = 3;
-  runner.max_seconds = 0.25;
-  runner.warmup_max_reps = 1;
-  runner.check_frequency = false;
 
   // Incumbent: the deliberately pessimized scalar configuration (the same
   // one bench_gate --selftest uses — several times slower than any SIMD
@@ -383,7 +376,7 @@ TEST_F(SharedCacheTest, PromotionReplacesServedEntryOnlyWhenDiffSaysImproved) {
   fast.params.prefetch.enabled = false;
   fast.strategy = opt::VecStrategy::kVdup;
 
-  ASSERT_EQ(retune(db, key, tuning::kQuickTuneWorkload, runner, fast),
+  ASSERT_EQ(retune(db, key, tuning::kQuickTuneWorkload, fast),
             RetuneOutcome::kPromoted);
   TunedVariant now;
   ASSERT_TRUE(db.lookup(key, now));
@@ -401,11 +394,11 @@ TEST_F(SharedCacheTest, PromotionReplacesServedEntryOnlyWhenDiffSaysImproved) {
   EXPECT_EQ(later.counters().builds, 0u);
 
   // Re-offering the stored configuration gates nothing.
-  EXPECT_EQ(retune(db, key, tuning::kQuickTuneWorkload, runner, fast),
+  EXPECT_EQ(retune(db, key, tuning::kQuickTuneWorkload, fast),
             RetuneOutcome::kUnchanged);
 
-  // A worse candidate is measured, loses the diff, and changes nothing.
-  EXPECT_EQ(retune(db, key, tuning::kQuickTuneWorkload, runner, slow),
+  // A worse candidate is measured, reads slower, and changes nothing.
+  EXPECT_EQ(retune(db, key, tuning::kQuickTuneWorkload, slow),
             RetuneOutcome::kRejected);
   TunedVariant still;
   ASSERT_TRUE(db.lookup(key, still));
@@ -414,9 +407,9 @@ TEST_F(SharedCacheTest, PromotionReplacesServedEntryOnlyWhenDiffSaysImproved) {
 
   // No incumbent in the database: nothing to promote against.
   const KernelKey other = host_kernel_key(KernelKind::kDot, kShape);
-  EXPECT_EQ(retune(db, other, tuning::kQuickTuneWorkload, runner, fast),
+  EXPECT_EQ(retune(db, other, tuning::kQuickTuneWorkload, fast),
             RetuneOutcome::kError);
-  EXPECT_EQ(retune(db, other, tuning::kQuickTuneWorkload, runner),
+  EXPECT_EQ(retune(db, other, tuning::kQuickTuneWorkload),
             RetuneOutcome::kError);
 }
 

@@ -11,13 +11,14 @@
 // (lines skipped as unparseable / foreign-schema / invalid); `show` prints
 // the entry the host's dispatcher would serve for (kind, shape); `prewarm`
 // tunes every kernel kind × shape class for the host CPU so later
-// processes start warm (--quick uses a reduced timing workload, e.g. for
-// CI); `retune` reruns the climb for one host entry, or for every
-// host entry but the batched small-GEMM ones, and promotes a winner only
-// when the noise-gated diff calls it improved (--quick: reduced workload
-// and measurement budget); `purge` empties the directory's database and
-// kernels/. --dir overrides the directory (default: the AUGEM_CACHE_DIR /
-// ~/.cache/augem resolution the runtime itself uses).
+// processes start warm; `retune` reruns the climb for one host entry, or
+// for every host entry but the batched small-GEMM ones, and promotes a
+// winner only when perf::compare, timing it interleaved against the
+// incumbent, reads `faster`; `purge` empties the directory's database and
+// kernels/. --quick only picks the reduced workload
+// (tuning::kQuickTuneWorkload, e.g. for CI) that prewarm and retune tune
+// and compare on. --dir overrides the directory (default: the
+// AUGEM_CACHE_DIR / ~/.cache/augem resolution the runtime itself uses).
 
 #include <cstdio>
 #include <cstring>
@@ -49,7 +50,8 @@ int usage() {
                "{list | show <kind> <shape> | prewarm [--quick] | "
                "retune [<kind> <shape>] [--quick] | purge}\n"
                "  kinds:  gemm gemv axpy dot scal\n"
-               "  shapes: small skinny large\n");
+               "  shapes: small skinny large\n"
+               "  --quick: only picks the reduced tuning workload\n");
   return 2;
 }
 
@@ -243,22 +245,13 @@ int cmd_retune(TuningDatabase& db, bool json, bool quick,
     return usage();
   }
 
-  augem::perf::RunnerOptions runner;
-  if (quick) {
-    runner.min_reps = 1;
-    runner.max_reps = 3;
-    runner.max_seconds = 0.25;
-    runner.warmup_max_reps = 1;
-    runner.check_frequency = false;
-  }
   bool failed = false;
   Json results = Json::array();
   for (const KernelKey& key : keys) {
     const auto outcome = augem::runtime::retune(
         db, key,
         quick ? augem::tuning::kQuickTuneWorkload
-              : augem::runtime::tune_workload_for(key.kind, key.shape),
-        runner);
+              : augem::runtime::tune_workload_for(key.kind, key.shape));
     failed |= outcome == augem::runtime::RetuneOutcome::kError;
     const char* name = augem::runtime::retune_outcome_name(outcome);
     if (json) {

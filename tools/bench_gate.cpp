@@ -3,7 +3,10 @@
 // Runs a named suite (src/perf/suites.hpp) through BenchRunner, writes the
 // BENCH_<suite>.json trajectory, and — when a baseline is available — diffs
 // the fresh run against it with the noise-aware verdict from
-// src/perf/report.hpp. Exit status is the contract:
+// src/perf/report.hpp. Stored reports cannot be re-run, so this diff is
+// how they are compared; a question two closures in one process can answer
+// goes to perf::compare (src/perf/compare.hpp). Exit status is the
+// contract:
 //
 //   0  no regression (or no comparable baseline: nothing to gate against)
 //   1  at least one row regressed beyond threshold + pooled CI noise
