@@ -17,7 +17,7 @@ int main() {
   print_platform("Ablation: template backend vs general-purpose compiler "
                  "(same optimized C input)");
   SuiteReporter reporter("ablation_asm_vs_c");
-  const GenerateOptions served =
+  const KernelConfig served =
       default_options(frontend::KernelKind::kGemm, host_arch().best_native_isa());
   const transform::CGenParams& p = served.params;
 
@@ -37,7 +37,7 @@ int main() {
 
   // (a) AUGEM template backend.
   {
-    const auto gen = generate_kernel(frontend::KernelKind::kGemm, served);
+    const auto gen = generate_kernel(served);
     const jit::CompiledModule mod = jit::assemble(gen.asm_text);
     std::printf("%-34s %10.1f\n", "AUGEM templates -> assembly",
                 time_kernel("augem_templates", mod.raw_symbol(gen.name)));

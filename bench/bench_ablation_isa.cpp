@@ -17,7 +17,7 @@ int main() {
   std::printf("%-8s %-10s %10s\n", "ISA", "tile", "MFLOPS");
   for (Isa isa : host_arch().native_isas()) {
     if (isa == Isa::kFma4) continue;  // not natively executable here
-    const GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    const KernelConfig o = default_options(frontend::KernelKind::kGemm, isa);
     std::printf("%-8s %dx%-8d %10.1f\n", isa_name(isa), o.params.mr,
                 o.params.nr, bench.run(o, reporter, isa_name(isa)));
   }

@@ -15,7 +15,7 @@ int main() {
 
   std::printf("%-12s %10s\n", "prefetch", "MFLOPS");
   for (int distance : {-1, 4, 8, 16, 32, 64}) {
-    GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    KernelConfig o = default_options(frontend::KernelKind::kGemm, isa);
     o.params.prefetch.enabled = distance >= 0;
     if (distance >= 0) o.params.prefetch.distance = distance;
     char series[32];

@@ -17,7 +17,7 @@ int main() {
   std::printf("%-18s %10s\n", "policy", "MFLOPS");
   for (const auto policy : {opt::RegAllocPolicy::kPerArrayQueues,
                             opt::RegAllocPolicy::kSinglePool}) {
-    GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    KernelConfig o = default_options(frontend::KernelKind::kGemm, isa);
     o.config.regalloc = policy;
     const bool queues = policy == opt::RegAllocPolicy::kPerArrayQueues;
     std::printf("%-18s %10.1f\n",

@@ -16,7 +16,7 @@ int main() {
 
   std::printf("%-12s %10s\n", "scheduler", "MFLOPS");
   for (bool sched : {false, true}) {
-    GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    KernelConfig o = default_options(frontend::KernelKind::kGemm, isa);
     o.config.schedule = sched;
     std::printf("%-12s %10.1f\n", sched ? "on" : "off",
                 bench.run(o, reporter, sched ? "on" : "off"));

@@ -25,7 +25,7 @@ int main() {
   for (int mr : mrs) {
     std::printf("%8d", mr);
     for (int nr : nrs) {
-      GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+      KernelConfig o = default_options(frontend::KernelKind::kGemm, isa);
       o.params.mr = mr;
       o.params.nr = nr;
       char series[32];
@@ -40,7 +40,7 @@ int main() {
   // Inner-loop unroll (ku) on the served 2w×w tile.
   std::printf("%8s %10s\n", "ku", "MFLOPS");
   for (int ku : {1, 2, 4, 8}) {
-    GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    KernelConfig o = default_options(frontend::KernelKind::kGemm, isa);
     o.params.ku = ku;
     char series[32];
     std::snprintf(series, sizeof series, "ku%d", ku);

@@ -32,7 +32,7 @@ int main() {
   };
   std::printf("%-14s %10s\n", "strategy/tile", "MFLOPS");
   for (const Case& c : cases) {
-    GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    KernelConfig o = default_options(frontend::KernelKind::kGemm, isa);
     o.layout = frontend::BLayout::kRowPanel;
     o.params.mr = c.mr;
     o.params.nr = c.nr;

@@ -38,9 +38,9 @@ int main() {
   const double flops = gemm_flops(mc, nc, kc);
   for (Isa isa : {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4}) {
     // The kernel each ISA serves: 2w×w tile, ku 4, column-major B.
-    const GenerateOptions o = default_options(frontend::KernelKind::kGemm, isa);
+    const KernelConfig o = default_options(frontend::KernelKind::kGemm, isa);
     const transform::CGenParams& p = o.params;
-    const auto gen = generate_kernel(frontend::KernelKind::kGemm, o);
+    const auto gen = generate_kernel(o);
 
     Rng rng(71);
     DoubleBuffer a(static_cast<std::size_t>(mc * kc));

@@ -21,10 +21,10 @@ struct GemmKernelBench {
   /// MFLOPS of the GEMM kernel `options` generates, also recorded as a
   /// trajectory row named `series`; 0 if the generator refuses it
   /// (augem::Refusal). Any other error is a defect and propagates.
-  double run(const GenerateOptions& options, SuiteReporter& reporter,
+  double run(const KernelConfig& options, SuiteReporter& reporter,
              const std::string& series) const {
     try {
-      const auto gen = generate_kernel(frontend::KernelKind::kGemm, options);
+      const auto gen = generate_kernel(options);
       const jit::CompiledModule mod = jit::assemble(gen.asm_text);
       return reporter.measure_probe(
           series, tuning::KernelProbe(frontend::KernelKind::kGemm,

@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  GenerateOptions options = default_options(kind, isa);
+  KernelConfig options = default_options(kind, isa);
   // Small tile so the listing stays readable.
   options.params.mr = std::min(options.params.mr, 2 * isa_vector_doubles(isa));
   options.params.ku = 1;
@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   for (const match::Region& r : match.regions)
     std::printf("  #%d %-16s x%zu\n", r.id, r.name().c_str(), r.size());
 
-  const asmgen::GeneratedKernel gen = generate_kernel(kind, options);
+  const asmgen::GeneratedKernel gen = generate_kernel(options);
   std::printf("\n==== 4. generated %s assembly ====\n%s\n", isa_name(isa),
               gen.asm_text.c_str());
   return 0;

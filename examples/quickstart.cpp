@@ -23,9 +23,8 @@ int main() {
 
   // 1. Generate the kernel: simple C → optimized C → templates → assembly.
   const Isa isa = host_arch().best_native_isa();
-  const GenerateOptions options = default_options(frontend::KernelKind::kGemm, isa);
   const asmgen::GeneratedKernel kernel =
-      generate_kernel(frontend::KernelKind::kGemm, options);
+      generate_kernel(default_options(frontend::KernelKind::kGemm, isa));
   std::printf("generated %s for %s: %zu instructions of assembly\n\n",
               kernel.name.c_str(), isa_name(isa), kernel.insts.size());
 

@@ -11,22 +11,12 @@ using frontend::KernelKind;
 using opt::VecStrategy;
 using transform::CGenParams;
 
-GenerateOptions default_options(KernelKind kind, Isa isa) {
-  GenerateOptions o;
-  o.params = transform::default_params(kind, isa);
-  o.config.isa = isa;
-  return o;
-}
-
-asmgen::GeneratedKernel generate_kernel(KernelKind kind,
-                                        const GenerateOptions& options) {
-  ir::Kernel k =
-      transform::generate_optimized_c(kind, options.layout, options.params);
-  // With the calling contract in hand we can demand full memory-safety
-  // proofs at generation time, not just structural well-formedness.
-  const analysis::KernelContract contract =
-      analysis::contract_for(kind, options.layout, options.params, k);
-  return asmgen::generate_assembly(std::move(k), options.config, &contract);
+KernelConfig default_options(KernelKind kind, Isa isa) {
+  KernelConfig c;
+  c.kind = kind;
+  c.params = transform::default_params(kind, isa);
+  c.config.isa = isa;
+  return c;
 }
 
 CGenParams small_gemm_params(const frontend::SmallGemmSpec& spec, Isa isa) {
@@ -62,20 +52,43 @@ CGenParams small_gemm_params(const frontend::SmallGemmSpec& spec, Isa isa) {
   return p;
 }
 
-GenerateOptions default_small_gemm_options(const frontend::SmallGemmSpec& spec,
-                                           Isa isa) {
-  GenerateOptions o;
-  o.config.isa = isa;
-  o.params = small_gemm_params(spec, isa);
-  return o;
+KernelConfig default_small_gemm_options(const frontend::SmallGemmSpec& spec,
+                                        Isa isa) {
+  KernelConfig c;
+  c.small = spec;
+  c.params = small_gemm_params(spec, isa);
+  c.config.isa = isa;
+  return c;
 }
 
-asmgen::GeneratedKernel generate_small_gemm_kernel(
-    const frontend::SmallGemmSpec& spec, const GenerateOptions& options) {
-  ir::Kernel k = transform::generate_small_gemm_c(spec, options.params);
-  const analysis::KernelContract contract =
-      analysis::contract_for_small_gemm(spec, k);
-  return asmgen::generate_assembly(std::move(k), options.config, &contract);
+namespace {
+
+/// A configuration lowered to optimized low-level C, with the calling
+/// contract its machine code is proved against.
+struct Lowered {
+  ir::Kernel kernel;
+  analysis::KernelContract contract;
+};
+
+Lowered lower(const KernelConfig& config) {
+  Lowered l{config.small
+                ? transform::generate_small_gemm_c(*config.small, config.params)
+                : transform::generate_optimized_c(config.kind, config.layout,
+                                                  config.params),
+            {}};
+  l.contract = config.small
+                   ? analysis::contract_for_small_gemm(*config.small, l.kernel)
+                   : analysis::contract_for(config.kind, config.layout,
+                                            config.params, l.kernel);
+  return l;
+}
+
+}  // namespace
+
+asmgen::GeneratedKernel generate_kernel(const KernelConfig& config) {
+  Lowered l = lower(config);
+  return asmgen::generate_assembly(std::move(l.kernel), config.config,
+                                   &l.contract);
 }
 
 std::string KernelConfig::to_string() const {
@@ -95,28 +108,20 @@ AnalyzedKernel generate_and_analyze(const KernelConfig& config,
                                     bool semantics) {
   // Generated without the contract, so that bounds and semantics findings
   // come back in the report instead of being thrown.
-  ir::Kernel k =
-      config.small
-          ? transform::generate_small_gemm_c(*config.small, config.params)
-          : transform::generate_optimized_c(config.kind, config.layout,
-                                            config.params);
-  AnalyzedKernel out{asmgen::generate_assembly(std::move(k), config.config),
-                     {}};
-  const ir::Kernel& source = out.kernel.source;
-  const analysis::KernelContract contract =
-      config.small ? analysis::contract_for_small_gemm(*config.small, source)
-                   : analysis::contract_for(config.kind, config.layout,
-                                            config.params, source);
+  Lowered l = lower(config);
+  AnalyzedKernel out{
+      asmgen::generate_assembly(std::move(l.kernel), config.config), {}};
   const analysis::SemanticsSpec spec{config.kind, config.layout, config.small};
   out.report = analysis::analyze(
-      out.kernel.insts, asmgen::analyze_options(source, &contract,
-                                                semantics ? &spec : nullptr));
+      out.kernel.insts,
+      asmgen::analyze_options(out.kernel.source, &l.contract,
+                              semantics ? &spec : nullptr));
   return out;
 }
 
 KernelSet::KernelSet(Isa isa) {
-  const GenerateOptions g = default_options(KernelKind::kGemm, isa);
-  const GenerateOptions l = default_options(KernelKind::kAxpy, isa);
+  const KernelConfig g = default_options(KernelKind::kGemm, isa);
+  const KernelConfig l = default_options(KernelKind::kAxpy, isa);
   build(isa, g.params, g.config.strategy, l.params);
 }
 
@@ -140,11 +145,10 @@ void KernelSet::build(Isa isa, const CGenParams& gemm_params,
   gemm_nr_ = gemm_params.nr;
 
   auto make = [&](KernelKind kind, const CGenParams& p) {
-    GenerateOptions o;
-    o.params = p;
-    o.config.isa = isa;
-    if (kind == KernelKind::kGemm) o.config.strategy = gemm_strategy;
-    return generate_kernel(kind, o);
+    KernelConfig c = default_options(kind, isa);
+    c.params = p;
+    if (kind == KernelKind::kGemm) c.config.strategy = gemm_strategy;
+    return generate_kernel(c);
   };
   const auto g = make(KernelKind::kGemm, gemm_params);
   const auto v = make(KernelKind::kGemv, level1_params);

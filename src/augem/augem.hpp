@@ -1,9 +1,11 @@
 #pragma once
 // The AUGEM public API (the framework of the paper's Fig. 1, end to end).
 //
-//   * `generate_kernel` — simple C → optimized C → templates → assembly,
+//   * `generate_kernel` — the one call from a configuration, blocked or
+//     small-GEMM, to machine code: simple C → optimized C → templates →
+//     assembly, proved in bounds against the kernel's calling contract,
 //     returning the full artifact (assembly text, machine IR, tagged
-//     low-level C) for inspection or VM execution.
+//     low-level C) for the JIT, inspection or VM execution.
 //   * `KernelSet` — the four DLA kernels generated for a configuration and
 //     JIT-compiled into native, callable function pointers.
 //   * `padded_gemm_block_kernel` and the netlib-semantics wrappers
@@ -31,14 +33,20 @@ struct GenerateOptions {
   frontend::BLayout layout = frontend::BLayout::kColMajor;
 };
 
-/// The options an untuned `kind` kernel for `isa` is served with:
+/// One generator configuration: a blocked `kind` kernel, or with `small`
+/// set the shape-specialized small-GEMM kernel for that spec (`kind` is
+/// then GEMM and `layout` unused).
+struct KernelConfig : GenerateOptions {
+  frontend::KernelKind kind = frontend::KernelKind::kGemm;
+  std::optional<frontend::SmallGemmSpec> small;
+
+  std::string to_string() const;
+};
+
+/// The configuration an untuned `kind` kernel for `isa` is served with:
 /// transform::default_params (the tuner's starting cell), the driver's
 /// column-major B, and the default opt::OptConfig (Vdup).
-GenerateOptions default_options(frontend::KernelKind kind, Isa isa);
-
-/// Runs the full pipeline for one kernel.
-asmgen::GeneratedKernel generate_kernel(frontend::KernelKind kind,
-                                        const GenerateOptions& options);
+KernelConfig default_options(frontend::KernelKind kind, Isa isa);
 
 /// Signature of every shape-specialized small-GEMM kernel (see
 /// frontend::make_small_gemm_kernel). `bias` may be null when the spec's
@@ -55,26 +63,16 @@ using SmallGemmFn = void(const double* a, long lda, const double* b, long ldb,
 transform::CGenParams small_gemm_params(const frontend::SmallGemmSpec& spec,
                                         Isa isa);
 
-/// Default generation options for a small-GEMM spec on `isa`.
-GenerateOptions default_small_gemm_options(const frontend::SmallGemmSpec& spec,
-                                           Isa isa);
+/// The configuration the small-GEMM kernel for `spec` on `isa` is served
+/// with: its small_gemm_params tile.
+KernelConfig default_small_gemm_options(const frontend::SmallGemmSpec& spec,
+                                        Isa isa);
 
-/// Full pipeline for one shape-specialized small-GEMM kernel, including the
-/// memory-safety proofs against its contract (lda >= m, ldb >= k, ldc >= m,
-/// bias extent m when fused).
-asmgen::GeneratedKernel generate_small_gemm_kernel(
-    const frontend::SmallGemmSpec& spec, const GenerateOptions& options);
-
-/// One generator configuration, as the static-analysis gate and the
-/// differential fuzzer draw them: a blocked `kind` kernel, or with `small`
-/// set the shape-specialized small-GEMM kernel for that spec (`kind` is
-/// then GEMM and `layout` unused).
-struct KernelConfig : GenerateOptions {
-  frontend::KernelKind kind = frontend::KernelKind::kGemm;
-  std::optional<frontend::SmallGemmSpec> small;
-
-  std::string to_string() const;
-};
+/// Generates `config` and proves every memory access of its machine code
+/// in bounds against its calling contract (analysis/contract.hpp). Throws
+/// augem::Refusal when the generator refuses the configuration; any other
+/// augem::Error, a failed proof included, is a generator defect.
+asmgen::GeneratedKernel generate_kernel(const KernelConfig& config);
 
 /// A generated kernel with the full static analysis of its machine code.
 struct AnalyzedKernel {

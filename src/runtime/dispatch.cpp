@@ -69,18 +69,13 @@ std::shared_ptr<CachedKernel> make_kernel(
 
 std::shared_ptr<CachedKernel> build_variant(const KernelKey& key,
                                             const TunedVariant& variant) {
-  // Regeneration goes through the same pipeline as direct use of the
-  // public API: generate_kernel attaches the calling contract and demands
-  // a clean mirlint analysis (memory-safety proofs included) before any
-  // text is assembled.
-  GenerateOptions options = key.small
-                                ? default_small_gemm_options(*key.small, key.isa)
-                                : default_options(key.kind, key.isa);
-  options.params = variant.params;
-  options.config.strategy = variant.strategy;
-  const asmgen::GeneratedKernel gen =
-      key.small ? generate_small_gemm_kernel(*key.small, options)
-                : generate_kernel(key.kind, options);
+  // generate_kernel proves every memory access in bounds against the
+  // calling contract before any text is assembled.
+  KernelConfig config = default_options(key.kind, key.isa);
+  config.small = key.small;
+  config.params = variant.params;
+  config.config.strategy = variant.strategy;
+  const asmgen::GeneratedKernel gen = generate_kernel(config);
   return make_kernel(
       key, variant, gen.name,
       std::make_shared<jit::CompiledModule>(jit::assemble(gen.asm_text)));

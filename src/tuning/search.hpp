@@ -31,7 +31,7 @@ enum class InfeasibleReason {
   kNone,              ///< the point was feasible (a kernel was produced)
   kPlannerRejected,   ///< vector plan refused the shape/register budget
   kRegallocExhausted, ///< plan accepted, vector or integer registers ran out
-  kOther,             ///< any other error: a defect, not a refusal
+  kOther,             ///< any other error, a failed proof too: a defect
 };
 
 const char* infeasible_reason_name(InfeasibleReason r);

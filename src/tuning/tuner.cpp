@@ -5,7 +5,6 @@
 #include <set>
 #include <sstream>
 
-#include "asmgen/codegen.hpp"
 #include "augem/augem.hpp"
 #include "jit/jit.hpp"
 #include "perf/clock.hpp"
@@ -17,7 +16,6 @@
 namespace augem::tuning {
 
 using frontend::KernelKind;
-using opt::OptConfig;
 using transform::CGenParams;
 
 std::string Trial::describe() const {
@@ -57,10 +55,6 @@ std::string TuneResult::report() const {
 
 namespace {
 
-/// The packed-B layout every GEMM candidate is generated, timed and served
-/// in: the generator default, which is the layout the driver packs.
-constexpr frontend::BLayout kServedLayout = GenerateOptions{}.layout;
-
 /// How a trial samples: cold back-to-back calls, with no warm-up run and
 /// no frequency probe. The rep count is TuneWorkload::reps.
 constexpr perf::RunnerOptions kTrialSampling = {
@@ -80,22 +74,12 @@ struct Built {
   }
 };
 
-/// Generates one candidate's assembly. Throws augem::Refusal when the
-/// generator refuses the point. Synthetic mode stops here, so its
-/// determinism tests exercise real pruning with model scores.
-asmgen::GeneratedKernel generate(KernelKind kind, const CGenParams& params,
-                                 const OptConfig& config) {
-  return asmgen::generate_assembly(
-      transform::generate_optimized_c(kind, kServedLayout, params), config);
-}
-
-/// Generates, assembles and loads one candidate.
-Built build(KernelKind kind, const CGenParams& params,
-            const OptConfig& config) {
-  const asmgen::GeneratedKernel gen = generate(kind, params, config);
+/// Generates, proves, assembles and loads one candidate.
+Built build(const KernelConfig& config) {
+  const asmgen::GeneratedKernel gen = generate_kernel(config);
   jit::CompiledModule module = jit::assemble(gen.asm_text);
   void* entry = module.raw_symbol(gen.name);
-  return Built{std::move(module), entry, params.mr, params.nr};
+  return Built{std::move(module), entry, config.params.mr, config.params.nr};
 }
 
 /// One measured cell: its trial's index and, once timed, its built kernel,
@@ -138,15 +122,18 @@ class SearchRun {
     Cell cell{p, result_.trials.size(), {}};
     Trial t;
     t.params = space_.materialize(p);
-    OptConfig config;
-    config.isa = result_.isa;
+    // The served configuration at this point, proved like every served
+    // kernel. Synthetic mode stops at the proof, so its determinism tests
+    // exercise real pruning with model scores.
+    KernelConfig config = default_options(kind_, result_.isa);
+    config.params = t.params;
     try {
       if (opts_.synthetic) {
-        (void)generate(kind_, t.params, config);
+        (void)generate_kernel(config);
         t.mflops = space_.synthetic_score(p);
         t.ci_half = 0.0;
       } else {
-        cell.built = build(kind_, t.params, config);
+        cell.built = build(config);
         const KernelProbe probe = cell.built->probe(kind_, w_);
         const perf::Measurement m =
             probe.measure(perf::BenchRunner(trial_runner(w_)));
@@ -162,6 +149,7 @@ class SearchRun {
     } catch (const Refusal& r) {
       t.reason = infeasible_reason(r.stage());
     } catch (const Error&) {
+      // A generator defect or a failed bounds proof: the kernel never runs.
       t.reason = InfeasibleReason::kOther;
     }
     result_.trials.push_back(std::move(t));

@@ -10,9 +10,10 @@
 // point, moves to a step's best-measured neighbor only when perf::compare,
 // timing the two kernels interleaved, reads `faster`, and serves the cell
 // where it stops.
-// Configurations the generator refuses (augem::Refusal) are logged as
-// infeasible, with the stage that refused them, and pruned, exactly like
-// ATLAS-style search spaces.
+// Every trial is built by augem::generate_kernel, proved like every served
+// kernel. Configurations the generator refuses (augem::Refusal) are logged
+// as infeasible, with the stage that refused them, and pruned, exactly like
+// ATLAS-style search spaces; a failed proof is logged as `other`.
 
 #include <string>
 #include <vector>

@@ -26,17 +26,16 @@ TEST(Augem, DefaultOptionsScaleWithIsaWidth) {
 
 TEST(Augem, GenerateKernelProducesAssemblyForAnyIsa) {
   // FMA4 is generable even though this host cannot run it natively.
-  GenerateOptions o = default_options(KernelKind::kGemm, Isa::kFma4);
-  const auto g = generate_kernel(KernelKind::kGemm, o);
+  const auto g = generate_kernel(default_options(KernelKind::kGemm, Isa::kFma4));
   EXPECT_NE(g.asm_text.find("vfmaddpd"), std::string::npos);
   EXPECT_NE(g.asm_text.find("dgemm_kernel:"), std::string::npos);
 }
 
 /// The stage of the refusal that generating `o` throws, or nothing when
 /// it generates.
-std::optional<Refusal::Stage> refusal_stage(const GenerateOptions& o) {
+std::optional<Refusal::Stage> refusal_stage(const KernelConfig& o) {
   try {
-    (void)generate_kernel(KernelKind::kGemm, o);
+    (void)generate_kernel(o);
   } catch (const Refusal& r) {
     return r.stage();
   }
@@ -45,14 +44,14 @@ std::optional<Refusal::Stage> refusal_stage(const GenerateOptions& o) {
 
 TEST(Augem, EachRefusalThrowsItsStage) {
   auto fma3 = [](int mr, int nr, frontend::BLayout layout) {
-    GenerateOptions o = default_options(KernelKind::kGemm, Isa::kFma3);
+    KernelConfig o = default_options(KernelKind::kGemm, Isa::kFma3);
     o.params.mr = mr;
     o.params.nr = nr;
     o.layout = layout;
     return o;
   };
   // The planner: a Shuf tile that is not n×n, and too many accumulators.
-  GenerateOptions shuf = fma3(8, 4, frontend::BLayout::kRowPanel);
+  KernelConfig shuf = fma3(8, 4, frontend::BLayout::kRowPanel);
   shuf.config.strategy = opt::VecStrategy::kShuf;
   EXPECT_EQ(refusal_stage(shuf), Refusal::Stage::kPlanner);
   EXPECT_EQ(refusal_stage(fma3(16, 4, frontend::BLayout::kColMajor)),
@@ -68,10 +67,10 @@ TEST(Augem, EachRefusalThrowsItsStage) {
 }
 
 TEST(Augem, InvalidTileIsAnErrorNotARefusal) {
-  GenerateOptions o = default_options(KernelKind::kGemm, Isa::kFma3);
+  KernelConfig o = default_options(KernelKind::kGemm, Isa::kFma3);
   o.params.mr = 0;
   try {
-    (void)generate_kernel(KernelKind::kGemm, o);
+    (void)generate_kernel(o);
     FAIL() << "mr = 0 generated";
   } catch (const Refusal& r) {
     FAIL() << "mr = 0 was refused as out of domain: " << r.what();
@@ -80,11 +79,12 @@ TEST(Augem, InvalidTileIsAnErrorNotARefusal) {
 }
 
 TEST(Augem, GenerateAndAnalyzeProvesTheServedKernels) {
-  KernelConfig gemm{default_options(KernelKind::kGemm, Isa::kFma3),
-                    KernelKind::kGemm, std::nullopt};
+  // generate_kernel proves the same lowering and returns the same code.
+  const KernelConfig gemm = default_options(KernelKind::kGemm, Isa::kFma3);
   AnalyzedKernel a = generate_and_analyze(gemm, /*semantics=*/true);
   EXPECT_EQ(a.kernel.name, "dgemm_kernel");
   EXPECT_EQ(a.report.errors(), 0u) << a.report.to_string(a.kernel.insts);
+  EXPECT_EQ(generate_kernel(gemm).asm_text, a.kernel.asm_text);
   EXPECT_EQ(gemm.to_string(),
             "gemm isa=FMA3 strategy=vdup layout=col-major " +
                 gemm.params.to_string());
@@ -92,10 +92,10 @@ TEST(Augem, GenerateAndAnalyzeProvesTheServedKernels) {
   frontend::SmallGemmSpec spec;
   spec.m = spec.n = spec.k = 8;
   spec.epilogue.relu = true;
-  KernelConfig small{default_small_gemm_options(spec, Isa::kAvx),
-                     KernelKind::kGemm, spec};
+  const KernelConfig small = default_small_gemm_options(spec, Isa::kAvx);
   a = generate_and_analyze(small, /*semantics=*/true);
   EXPECT_EQ(a.report.errors(), 0u) << a.report.to_string(a.kernel.insts);
+  EXPECT_EQ(generate_kernel(small).asm_text, a.kernel.asm_text);
   EXPECT_EQ(small.to_string().rfind("gemm small=" + spec.to_string(), 0), 0u)
       << small.to_string();
 }

@@ -52,8 +52,7 @@ TEST(ScalExtension, IdentifierFindsPairedSvScal) {
 }
 
 TEST(ScalExtension, GeneratedAssemblyUsesVectorMultiply) {
-  GenerateOptions o = default_options(KernelKind::kScal, Isa::kAvx);
-  const auto g = generate_kernel(KernelKind::kScal, o);
+  const auto g = generate_kernel(default_options(KernelKind::kScal, Isa::kAvx));
   EXPECT_NE(g.asm_text.find("vbroadcastsd"), std::string::npos);
   EXPECT_NE(g.asm_text.find("vmulpd"), std::string::npos);
   EXPECT_NE(g.asm_text.find("svUnrolledSCAL"), std::string::npos);
@@ -63,8 +62,7 @@ TEST(ScalExtension, GeneratedAssemblyUsesVectorMultiply) {
 TEST(ScalExtension, VmSemanticsAcrossIsasAndSizes) {
   for (Isa isa : {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4}) {
     SCOPED_TRACE(isa_name(isa));
-    GenerateOptions o = default_options(KernelKind::kScal, isa);
-    const auto g = generate_kernel(KernelKind::kScal, o);
+    const auto g = generate_kernel(default_options(KernelKind::kScal, isa));
     for (long n : {0L, 1L, 7L, 16L, 100L}) {
       Rng rng(5);
       DoubleBuffer x(static_cast<std::size_t>(n));

@@ -215,10 +215,9 @@ TEST_F(SharedCacheTest, SchemaOneGemmRecordIsRebuiltNotLoaded) {
   // so the runtime must build instead of replaying it.
   const KernelKey key =
       host_kernel_key(KernelKind::kGemm, classify_gemm_shape(kM, kN, kK));
-  GenerateOptions row_panel = default_options(KernelKind::kGemm, key.isa);
+  KernelConfig row_panel = default_options(KernelKind::kGemm, key.isa);
   row_panel.layout = frontend::BLayout::kRowPanel;
-  const asmgen::GeneratedKernel gen =
-      generate_kernel(KernelKind::kGemm, row_panel);
+  const asmgen::GeneratedKernel gen = generate_kernel(row_panel);
   CachedKernel old_kernel;
   old_kernel.symbol = gen.name;
   old_kernel.module =

@@ -46,13 +46,9 @@ struct SnapshotCase {
 /// names stable (the default byte dump shows padding and heap pointers).
 void PrintTo(const SnapshotCase& c, std::ostream* os) { *os << c.stem; }
 
-GenerateOptions options_for(const SnapshotCase& c) {
-  if (c.small) {
-    GenerateOptions o = default_small_gemm_options(*c.small, c.isa);
-    o.config.strategy = c.strategy;
-    return o;
-  }
-  GenerateOptions o = default_options(c.kind, c.isa);
+KernelConfig options_for(const SnapshotCase& c) {
+  KernelConfig o = c.small ? default_small_gemm_options(*c.small, c.isa)
+                           : default_options(c.kind, c.isa);
   o.config.strategy = c.strategy;
   if (c.kind == KernelKind::kGemm && c.strategy == VecStrategy::kShuf) {
     // Shuf rotates a loaded B vector through its lanes, so the j tile must
@@ -69,10 +65,8 @@ GenerateOptions options_for(const SnapshotCase& c) {
 
 /// The snapshot artifact: everything a reviewer needs to judge a diff.
 std::string render(const SnapshotCase& c) {
-  const GenerateOptions o = options_for(c);
-  const asmgen::GeneratedKernel gen =
-      c.small ? generate_small_gemm_kernel(*c.small, o)
-              : generate_kernel(c.kind, o);
+  const KernelConfig o = options_for(c);
+  const asmgen::GeneratedKernel gen = generate_kernel(o);
   std::ostringstream os;
   os << "# AUGEM golden snapshot (tests/snapshot)\n"
      << "# kind=" << frontend::kernel_kind_name(c.kind);

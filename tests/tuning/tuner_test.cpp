@@ -191,12 +191,11 @@ TEST(Search, MeasuredWinnerWithinPooledCiOfExhaustive) {
   const TuneResult searched = tune_space(KernelKind::kDot, isa, space, w, {});
   if (searched.params.to_string() == exhaustive.params.to_string()) return;
 
-  GenerateOptions o;
-  o.config.isa = isa;
+  KernelConfig o = default_options(KernelKind::kDot, isa);
   o.params = exhaustive.params;
-  const asmgen::GeneratedKernel ex_gen = generate_kernel(KernelKind::kDot, o);
+  const asmgen::GeneratedKernel ex_gen = generate_kernel(o);
   o.params = searched.params;
-  const asmgen::GeneratedKernel hc_gen = generate_kernel(KernelKind::kDot, o);
+  const asmgen::GeneratedKernel hc_gen = generate_kernel(o);
   const jit::CompiledModule ex_mod = jit::assemble(ex_gen.asm_text);
   const jit::CompiledModule hc_mod = jit::assemble(hc_gen.asm_text);
   const ProbeExtents e = w.extents(KernelKind::kDot);

@@ -58,8 +58,8 @@ usage: augemc [--kernel K] [--isa I] [--stage S] [tile options] [-o FILE]
 }
 
 /// JIT and time one kernel on a synthetic workload; prints MFLOPS.
-void run_kernel(const asmgen::GeneratedKernel& gen, KernelKind kind,
-                const GenerateOptions& options, long n) {
+void run_kernel(const asmgen::GeneratedKernel& gen,
+                const KernelConfig& options, long n) {
   if (!host_arch().supports(options.config.isa)) {
     std::fprintf(stderr, "%s is not natively executable on this host\n",
                  isa_name(options.config.isa));
@@ -67,7 +67,8 @@ void run_kernel(const asmgen::GeneratedKernel& gen, KernelKind kind,
   }
   const jit::CompiledModule mod = jit::assemble(gen.asm_text);
   // n×n GEMV, length-n vectors, and n×256 by 256×n packed GEMM blocks.
-  const tuning::KernelProbe probe(kind, mod.raw_symbol(gen.name), {n, n, 256},
+  const tuning::KernelProbe probe(options.kind, mod.raw_symbol(gen.name),
+                                  {n, n, 256},
                                   options.params.mr, options.params.nr);
   const perf::Measurement m = probe.measure(perf::BenchRunner());
   std::printf("%s [%s] size %ld: %.1f MFLOPS\n", gen.name.c_str(),
@@ -82,7 +83,7 @@ int main(int argc, char** argv) {
   std::string stage = "asm";
   std::string out_path;
   std::optional<long> run_size;
-  GenerateOptions options = default_options(kind, isa);
+  KernelConfig options = default_options(kind, isa);
   bool layout_given = false;
 
   auto need_value = [&](int& i) -> std::string {
@@ -165,7 +166,7 @@ int main(int argc, char** argv) {
       match::identify_templates(k);
       artifact = k.to_string();
     } else if (stage == "asm") {
-      artifact = generate_kernel(kind, options).asm_text;
+      artifact = generate_kernel(options).asm_text;
     } else {
       usage(1);
     }
@@ -180,8 +181,7 @@ int main(int argc, char** argv) {
     }
 
     if (run_size) {
-      const auto gen = generate_kernel(kind, options);
-      run_kernel(gen, kind, options, *run_size);
+      run_kernel(generate_kernel(options), options, *run_size);
     }
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());

@@ -29,9 +29,11 @@
 //     --no-semantics                     skip translation validation
 //     --text                             human-readable findings (default JSON)
 //     --sweep                            analyze the full op x layout x ISA x
-//                                        strategy x tile grid; print progress,
-//                                        a per-pass findings table and a
-//                                        summary
+//                                        strategy x tile grid on every pool
+//                                        thread (AUGEM_NUM_THREADS); print
+//                                        progress, then, in configuration
+//                                        order, the failures, a per-pass
+//                                        findings table and a summary
 //     --artifact PATH                    (with --sweep) also write a JSON
 //                                        artifact with per-section results
 //     --search-sample N                  (with --sweep) additionally analyze
@@ -53,6 +55,7 @@
 // The artifact schema is documented in docs/static-analysis.md.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -68,6 +71,7 @@
 #include "opt/plan.hpp"
 #include "support/error.hpp"
 #include "support/json.hpp"
+#include "support/threadpool.hpp"
 #include "tuning/search.hpp"
 
 namespace {
@@ -201,72 +205,60 @@ int check_artifact(const std::string& path, const std::string& section) {
   return 1;
 }
 
+/// One sweep configuration, tagged with the artifact section its error
+/// findings land in: sampled search cells gate the tuner's reachable space
+/// (search_sample), the fixed grid gates the generator itself (bounds and
+/// semantics).
+struct SweepCase {
+  KernelConfig config;
+  bool sampled = false;
+};
+
+/// What generating and analyzing one configuration found.
+struct CaseResult {
+  bool analyzed = false;
+  std::optional<Refusal::Stage> refused;
+  int warnings = 0;
+  int err_bounds = 0;
+  int err_sem = 0;
+  std::vector<std::string> kinds;  ///< every error and warning finding kind
+  std::string failure;             ///< the FAIL report printed for the case
+};
+
+CaseResult analyze_sweep_case(const KernelConfig& c, bool with_semantics) {
+  CaseResult r;
+  try {
+    const AnalyzedKernel a = generate_and_analyze(c, with_semantics);
+    r.analyzed = true;
+    r.warnings =
+        static_cast<int>(a.report.count(analysis::Severity::kWarning));
+    std::ostringstream errors;
+    for (const analysis::Finding& f : a.report.findings) {
+      if (f.severity == analysis::Severity::kNote) continue;
+      r.kinds.push_back(f.kind);
+      if (f.severity != analysis::Severity::kError) continue;
+      ++(is_semantics_kind(f.kind) ? r.err_sem : r.err_bounds);
+      errors << "  [" << f.index << "] " << f.kind << ": " << f.message
+             << "\n";
+    }
+    if (r.err_bounds + r.err_sem > 0)
+      r.failure = "FAIL " + c.to_string() + "\n" + errors.str();
+  } catch (const Refusal& e) {
+    // The generator refuses an out-of-domain configuration.
+    r.refused = e.stage();
+  } catch (const Error& e) {
+    // Any other generation error is a generator defect.
+    ++r.err_bounds;
+    r.kinds.push_back("generation-error");
+    r.failure =
+        "FAIL " + c.to_string() + "\n  generation: " + e.what() + "\n";
+  }
+  return r;
+}
+
 int run_sweep(bool with_semantics, int search_sample,
               const std::string& artifact_path) {
-  SweepStats stats;
-  constexpr int kProgressEvery = 128;
-  int visited = 0;
-  // `sampled` routes a case's error findings into the search_sample
-  // artifact section instead of bounds/semantics: sampled points gate the
-  // tuner's reachable space, the fixed grid gates the generator itself.
-  bool sampled = false;
-  auto visit = [&](const KernelConfig& c) {
-    if (++visited % kProgressEvery == 0)
-      std::fprintf(stderr, "mirlint sweep: ... %d configs visited (%d "
-                           "analyzed, %d rejected)\n",
-                   visited, stats.analyzed, stats.rejected);
-    int err_bounds = 0, err_sem = 0;
-    try {
-      const AnalyzedKernel a = generate_and_analyze(c, with_semantics);
-      ++stats.analyzed;
-      if (sampled) ++stats.sampled;
-      stats.warnings +=
-          static_cast<int>(a.report.count(analysis::Severity::kWarning));
-      for (const analysis::Finding& f : a.report.findings) {
-        if (f.severity == analysis::Severity::kNote) continue;
-        ++stats.by_kind[f.kind];
-        if (f.severity != analysis::Severity::kError) continue;
-        if (is_semantics_kind(f.kind))
-          ++err_sem;
-        else
-          ++err_bounds;
-      }
-      if (err_bounds + err_sem > 0) {
-        std::printf("FAIL %s\n", c.to_string().c_str());
-        for (const analysis::Finding& f : a.report.findings)
-          if (f.severity == analysis::Severity::kError)
-            std::printf("  [%zu] %s: %s\n", f.index, f.kind.c_str(),
-                        f.message.c_str());
-      }
-    } catch (const Refusal& r) {
-      // The generator refuses an out-of-domain configuration.
-      ++stats.rejected;
-      ++stats.rejected_by_stage[r.stage()];
-      return;
-    } catch (const Error& e) {
-      // Any other generation error is a generator defect.
-      ++err_bounds;
-      ++stats.by_kind["generation-error"];
-      std::printf("FAIL %s\n  generation: %s\n", c.to_string().c_str(),
-                  e.what());
-    }
-    if (sampled) {
-      if (err_bounds + err_sem > 0) {
-        stats.errors_search += err_bounds + err_sem;
-        stats.failed_search.push_back(c.to_string());
-      }
-    } else {
-      if (err_bounds > 0) {
-        stats.errors_bounds += err_bounds;
-        stats.failed_bounds.push_back(c.to_string());
-      }
-      if (err_sem > 0) {
-        stats.errors_semantics += err_sem;
-        stats.failed_semantics.push_back(c.to_string());
-      }
-    }
-  };
-
+  std::vector<SweepCase> cases;
   const Isa isas[] = {Isa::kSse2, Isa::kAvx, Isa::kFma3, Isa::kFma4};
 
   // Every strategy where it generates a kernel of its own: Shuf only for
@@ -294,7 +286,7 @@ int run_sweep(bool with_semantics, int search_sample,
               c.params.nr = nr;
               c.params.ku = ku;
               c.params.prefetch.enabled = pf;
-              visit(c);
+              cases.push_back({c});
             }
           }
         }
@@ -311,7 +303,7 @@ int run_sweep(bool with_semantics, int search_sample,
             c.config.strategy = strat;
             c.params.unroll = unroll;
             c.params.prefetch.enabled = pf;
-            visit(c);
+            cases.push_back({c});
           }
         }
       }
@@ -343,11 +335,7 @@ int run_sweep(bool with_semantics, int search_sample,
           spec.n = sh.n;
           spec.k = sh.k;
           spec.epilogue = e;
-          KernelConfig c;
-          c.small = spec;
-          c.config.isa = isa;
-          c.params = small_gemm_params(spec, isa);
-          visit(c);
+          cases.push_back({default_small_gemm_options(spec, isa)});
         }
   }
 
@@ -356,8 +344,9 @@ int run_sweep(bool with_semantics, int search_sample,
   // space of each Level-1/2 kind — pushed through the same analysis. The
   // climb can reach any of them; every one must bounds-prove even though
   // the fixed grid above never visits it.
+  std::vector<KernelConfig> cells;
+  std::size_t sampled = 0;
   if (search_sample > 0) {
-    std::vector<KernelConfig> cells;
     for (Isa isa : isas)
       for (KernelKind op : {KernelKind::kGemm, KernelKind::kGemv,
                             KernelKind::kAxpy, KernelKind::kDot,
@@ -375,15 +364,65 @@ int run_sweep(bool with_semantics, int search_sample,
           cells.push_back(c);
         }
       }
-    const std::size_t n =
-        std::min(static_cast<std::size_t>(search_sample), cells.size());
-    sampled = true;
-    for (std::size_t i = 0; i < n; ++i) visit(cells[i * cells.size() / n]);
-    sampled = false;
+    sampled = std::min(static_cast<std::size_t>(search_sample), cells.size());
+    for (std::size_t i = 0; i < sampled; ++i)
+      cases.push_back({cells[i * cells.size() / sampled], true});
+  }
+
+  // Analyses cost from ~7 ms (Level-1/2) to ~250 ms (GEMM with translation
+  // validation), so each pool thread takes the next case as it finishes
+  // one instead of a fixed share.
+  std::vector<CaseResult> results(cases.size());
+  std::atomic<std::size_t> next{0};
+  std::atomic<int> done{0};
+  constexpr int kProgressEvery = 128;
+  ThreadPool::global().run([&](int) {
+    for (std::size_t i = next++; i < cases.size(); i = next++) {
+      results[i] = analyze_sweep_case(cases[i].config, with_semantics);
+      if (const int d = ++done; d % kProgressEvery == 0)
+        std::fprintf(stderr, "mirlint sweep: ... %d of %zu configs visited\n",
+                     d, cases.size());
+    }
+  });
+
+  // Fold in configuration order, so stdout and the artifact do not depend
+  // on the thread count.
+  SweepStats stats;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const SweepCase& c = cases[i];
+    const CaseResult& r = results[i];
+    std::fputs(r.failure.c_str(), stdout);
+    if (r.refused) {
+      ++stats.rejected;
+      ++stats.rejected_by_stage[*r.refused];
+      continue;
+    }
+    if (r.analyzed) {
+      ++stats.analyzed;
+      if (c.sampled) ++stats.sampled;
+    }
+    stats.warnings += r.warnings;
+    for (const std::string& kind : r.kinds) ++stats.by_kind[kind];
+    if (c.sampled) {
+      if (r.err_bounds + r.err_sem > 0) {
+        stats.errors_search += r.err_bounds + r.err_sem;
+        stats.failed_search.push_back(c.config.to_string());
+      }
+      continue;
+    }
+    if (r.err_bounds > 0) {
+      stats.errors_bounds += r.err_bounds;
+      stats.failed_bounds.push_back(c.config.to_string());
+    }
+    if (r.err_sem > 0) {
+      stats.errors_semantics += r.err_sem;
+      stats.failed_semantics.push_back(c.config.to_string());
+    }
+  }
+  if (search_sample > 0)
     std::printf("mirlint search-sample: %zu of %zu search cells, %d "
                 "analyzed, %d error finding(s)\n",
-                n, cells.size(), stats.sampled, stats.errors_search);
-  }
+                sampled, cells.size(), stats.sampled, stats.errors_search);
 
   // Count distinct failing configs (a config can fail both sections).
   std::set<std::string> failed(stats.failed_bounds.begin(),
@@ -462,7 +501,7 @@ int main(int argc, char** argv) {
       isa = *parsed;
     }
   }
-  KernelConfig c{default_options(kind, isa), kind, std::nullopt};
+  KernelConfig c = default_options(kind, isa);
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
